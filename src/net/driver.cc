@@ -227,11 +227,13 @@ void ReceiverLoop(const DriveOptions& options, ConnDriver* conn,
 
 }  // namespace
 
+Histogram LatencyHistogram(double limit_seconds) {
+  return Histogram::LogScale(1e-6, limit_seconds, 1.02);
+}
+
 DriveReport RunDrive(const DriveOptions& options) {
   DriveReport report;
-  // 2000 buckets keep sub-millisecond loopback latencies resolvable while
-  // the limit still covers queueing delays near saturation.
-  report.latencies = Histogram(options.histogram_limit_seconds, 2000);
+  report.latencies = LatencyHistogram(options.histogram_limit_seconds);
 
   const int connections = std::max(1, options.connections);
   const size_t shards = static_cast<size_t>(std::max(1, options.shards));
@@ -241,7 +243,7 @@ DriveReport RunDrive(const DriveOptions& options) {
   conns.reserve(connections);
   for (int i = 0; i < connections; ++i) {
     auto conn = std::make_unique<ConnDriver>();
-    conn->latencies = Histogram(options.histogram_limit_seconds, 2000);
+    conn->latencies = LatencyHistogram(options.histogram_limit_seconds);
     conn->shard_sent.assign(shards, 0);
     conn->shard_completed.assign(shards, 0);
     // A freshly-started server may not be listening yet: retry briefly so

@@ -51,7 +51,7 @@ struct DriveOptions {
   /// per-shard sent/completed vectors mirror the server's own breakdown.
   int shards = 1;
   /// Latency histogram range (quantiles interpolate above it).
-  double histogram_limit_seconds = 1.0;
+  double histogram_limit_seconds = 100.0;
   /// How long after the last send to wait for stragglers.
   double drain_timeout_seconds = 10.0;
   /// op_arrive / op_complete / reject per request when non-null (must be
@@ -91,6 +91,11 @@ struct DriveReport {
   /// was kept (grows when the sender itself becomes the bottleneck).
   Accumulator send_lag;
 };
+
+/// The response-time histogram drive records into: log-scale buckets 2%
+/// wide from 1 us up to `limit_seconds`, so every reported percentile is
+/// exact to 2% whether it is 40 us or 4 s.
+Histogram LatencyHistogram(double limit_seconds);
 
 DriveReport RunDrive(const DriveOptions& options);
 

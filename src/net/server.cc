@@ -201,9 +201,9 @@ struct Server::Shard {
   std::unique_ptr<ConcurrentBTree> tree;
   std::unique_ptr<ThreadPool> pool;
   /// Write-ahead log + the binding the tree mutates through (null when
-  /// durability is off). The log outlives the pool (workers may be parked
-  /// in WaitDurable) and survives until the Server dies so the final report
-  /// can read its stats after Close().
+  /// durability is off). The log outlives the pool (its writer may still
+  /// release parked acks of batches the workers finished) and survives until
+  /// the Server dies so the final report can read its stats after Close().
   std::unique_ptr<wal::ShardLog> log;
   std::unique_ptr<WalBinding> wal_binding;
   std::atomic<uint64_t> executed{0};
@@ -246,6 +246,10 @@ Server::~Server() { Shutdown(); }
 
 ConcurrentBTree* Server::tree(int shard) {
   return shards_[static_cast<size_t>(shard)]->tree.get();
+}
+
+const wal::ShardLog* Server::wal_log(int shard) const {
+  return shards_[static_cast<size_t>(shard)]->log.get();
 }
 
 void Server::CheckAllInvariants() const {
@@ -401,9 +405,14 @@ bool Server::Start(std::string* error) {
       if (shard->log != nullptr) shard->log->SyncAll();
     }
   }
+  wal_preload_appends_ = 0;
+  wal_preload_fsyncs_ = 0;
   if (wal_enabled) {
     for (auto& shard : shards_) {
       shard->tree->BindWal(shard->wal_binding.get(), options_.wal_retention);
+      const wal::WalStats& w = shard->log->stats();
+      wal_preload_appends_ += w.appends.load(std::memory_order_relaxed);
+      wal_preload_fsyncs_ += w.fsyncs.load(std::memory_order_relaxed);
     }
   }
 
@@ -475,9 +484,10 @@ void Server::Shutdown() {
   }
   // Shard pools drain any residual queued work, then join their workers.
   for (auto& shard : shards_) shard->pool.reset();
-  // Only after the workers are gone (none can be appending or parked in
-  // WaitDurable) do the logs flush their tails and join their writers. The
-  // ShardLog objects stay alive for the final report's WAL stats.
+  // Only after the workers are gone (none can be appending) do the logs
+  // flush their tails, release any acks still parked on them, and join
+  // their writers. The ShardLog objects stay alive for the final report's
+  // WAL stats.
   for (auto& shard : shards_) {
     if (shard->log != nullptr) shard->log->Close();
   }
@@ -575,6 +585,10 @@ ServerStats Server::stats() const {
     stats.wal.segments += w.rotations.load(std::memory_order_relaxed);
     const uint64_t max_group = w.max_group.load(std::memory_order_relaxed);
     if (max_group > stats.wal.max_group) stats.wal.max_group = max_group;
+  }
+  if (stats.wal.enabled) {
+    stats.wal.serving_appends = stats.wal.appends - wal_preload_appends_;
+    stats.wal.serving_fsyncs = stats.wal.fsyncs - wal_preload_fsyncs_;
   }
   stats.wal.replayed_records = wal_replayed_records_;
   stats.wal.replayed_segments = wal_replayed_segments_;
@@ -1293,15 +1307,23 @@ void Server::ExecuteBatch(std::shared_ptr<Conn> conn, int shard_index,
                           uint64_t enqueue_ns) {
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   ConcurrentBTree* tree = shard.tree.get();
-  std::vector<Response> responses;
-  responses.reserve(requests.size());
+  wal::ShardLog* log = shard.log.get();
+  // A batch's LSN is its own: the last record this worker appends during
+  // the pass, or 0 when it appends nothing (a read-only batch must not wait
+  // on an earlier batch's writes).
+  const uint64_t lsn_before = log != nullptr ? log->ThreadLastLsn() : 0;
+  ExecutedBatch done;
+  done.conn = std::move(conn);
+  done.shard = shard_index;
+  done.enqueue_ns = enqueue_ns;
+  done.requests = std::move(requests);
+  done.responses.reserve(done.requests.size());
 #if CBTREE_OBS_ENABLED
   StageTimers& stage = obs_stage_[static_cast<size_t>(shard_index)];
   const uint64_t dequeue_ns = ElapsedNs(start_time_);
-  FlushSpan span;
-  span.requests.reserve(requests.size());
+  done.span.requests.reserve(done.requests.size());
 #endif
-  for (const AdmittedRequest& admitted : requests) {
+  for (const AdmittedRequest& admitted : done.requests) {
     const Request& request = admitted.req;
     if (options_.worker_delay_hook) options_.worker_delay_hook(request);
     const uint64_t tree_start_ns = ElapsedNs(start_time_);
@@ -1352,42 +1374,51 @@ void Server::ExecuteBatch(std::shared_ptr<Conn> conn, int shard_index,
     meta.dequeue_ns = dequeue_ns;
     meta.tree_start_ns = tree_start_ns;
     meta.tree_end_ns = tree_end_ns;
-    span.requests.push_back(meta);
+    done.span.requests.push_back(meta);
 #endif
-    responses.push_back(response);
+    done.responses.push_back(response);
   }
-  // Ack-after-durable: nothing this batch wrote may be answered until its
-  // last LSN is on disk. Under --recovery=leaf|naive the trees already
-  // waited latch-held (the wait below is then an O(1) watermark check);
-  // under --recovery=none this single wait covers the whole batch — the
-  // group-commit amortization point.
-  if (shard.log != nullptr) {
-    shard.log->WaitDurable(shard.log->ThreadLastLsn());
+  if (log == nullptr) {
+    CompleteBatch(&done);
+    return;
   }
+  // Ack-after-durable without a waiting thread: the batch's acks are parked
+  // on its last LSN and the shard's WAL writer releases them right after the
+  // group-commit barrier that covers it, so this worker goes straight on to
+  // the next batch and every write admitted meanwhile joins the next group.
+  // Under --recovery=leaf|naive the trees already waited latch-held, the
+  // LSN is durable, and the acks go out inline here. The durable wait lands
+  // in stage.buffer (tree end -> buffered) and in wal.sync_wait_ns.
+  const uint64_t lsn_after = log->ThreadLastLsn();
+  log->WhenDurable(lsn_after != lsn_before ? lsn_after : 0,
+                   [this, done = std::move(done)]() mutable {
+                     CompleteBatch(&done);
+                   });
+}
+
+void Server::CompleteBatch(ExecutedBatch* batch) {
+  Shard& shard = *shards_[static_cast<size_t>(batch->shard)];
+  const size_t count = batch->requests.size();
   // Count completions BEFORE buffering the responses: the increments then
   // happen-before any client can have received a reply, so a kStats probe
   // sent after a response reads counters that already include it
   // (read-your-writes for the admin plane).
-  shard.executed.fetch_add(requests.size(), std::memory_order_relaxed);
-  completed_.fetch_add(requests.size(), std::memory_order_relaxed);
+  shard.executed.fetch_add(count, std::memory_order_relaxed);
+  completed_.fetch_add(count, std::memory_order_relaxed);
   // One buffer lock for the whole batch: the single-tree-pass analogue on
   // the write side.
-#if CBTREE_OBS_ENABLED
-  SendResponses(conn, responses.data(), responses.size(),
-                /*close_after=*/false, &span);
-#else
-  SendResponses(conn, responses.data(), responses.size());
-#endif
-  const uint64_t request_ns = ElapsedNs(start_time_) - enqueue_ns;
-  for (const AdmittedRequest& admitted : requests) {
+  SendResponses(batch->conn, batch->responses.data(), batch->responses.size(),
+                /*close_after=*/false, &batch->span);
+  const uint64_t request_ns = ElapsedNs(start_time_) - batch->enqueue_ns;
+  for (const AdmittedRequest& admitted : batch->requests) {
     obs_request_ns_.RecordNs(request_ns);
     TraceRequest(obs::TraceEventKind::kOpComplete, admitted.req,
                  static_cast<double>(request_ns) * 1e-9);
   }
-  shard.in_flight.fetch_sub(requests.size(), std::memory_order_relaxed);
+  shard.in_flight.fetch_sub(count, std::memory_order_relaxed);
   // Last: the loops treat in_flight_ == 0 (plus empty buffers) as fully
   // drained, so the responses must already be appended.
-  in_flight_.fetch_sub(requests.size(), std::memory_order_release);
+  in_flight_.fetch_sub(count, std::memory_order_release);
 }
 
 void Server::SendResponses(const std::shared_ptr<Conn>& conn,

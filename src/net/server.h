@@ -138,8 +138,9 @@ struct ServerOptions {
   /// Group-commit coalescing window, microseconds (see wal::WalOptions).
   uint32_t wal_group_commit_us = 200;
   uint64_t wal_segment_bytes = 64ull << 20;
-  /// Paper §7 lock-retention policy applied live by the trees (kNone: the
-  /// server waits out durability after the tree pass, before acking).
+  /// Paper §7 lock-retention policy applied live by the trees (kNone: no
+  /// thread waits; the shard's WAL writer releases a batch's acks once the
+  /// batch's last LSN is durable).
   RecoveryPolicy wal_retention = RecoveryPolicy::kNone;
 };
 
@@ -170,6 +171,11 @@ struct WalServerStats {
   uint64_t fsyncs = 0;   ///< fsync/fdatasync calls (0 under --fsync=off)
   uint64_t bytes = 0;    ///< record bytes written
   uint64_t max_group = 0;        ///< largest single group, in records
+  /// Appends and fsyncs since the listeners opened: the serving window,
+  /// with the Start-time preload (logged and synced before listening)
+  /// excluded. Group-commit amortization is judged on these.
+  uint64_t serving_appends = 0;
+  uint64_t serving_fsyncs = 0;
   uint64_t segments = 0;         ///< segment files opened this run
   uint64_t replayed_records = 0;     ///< recovered on Start
   uint64_t replayed_segments = 0;    ///< segment files scanned on Start
@@ -241,6 +247,10 @@ class Server {
   /// once quiescent).
   ConcurrentBTree* tree(int shard = 0);
 
+  /// One shard's write-ahead log (null when durability is off), e.g. to
+  /// read its DurableLsn().
+  const wal::ShardLog* wal_log(int shard = 0) const;
+
   /// Runs CheckInvariants on every shard tree (quiescent callers only).
   void CheckAllInvariants() const;
 
@@ -311,6 +321,17 @@ class Server {
     std::vector<FlushSpanRequest> requests;
   };
 
+  /// One executed batch whose acks wait for its writes to become durable:
+  /// everything CompleteBatch needs, moved into the WhenDurable callback.
+  struct ExecutedBatch {
+    std::shared_ptr<Conn> conn;
+    int shard = 0;
+    uint64_t enqueue_ns = 0;
+    std::vector<AdmittedRequest> requests;
+    std::vector<Response> responses;
+    FlushSpan span;  ///< stage metadata (left empty when obs is compiled out)
+  };
+
   /// Per-shard stage timers (log2-ns histograms). The six stages plus the
   /// end-to-end total are recorded from shared timestamps, so per request
   /// admit + queue + batch + tree + buffer + flush == total in exact
@@ -320,7 +341,7 @@ class Server {
     obs::Timer queue;   ///< submitted -> a shard worker dequeues the batch
     obs::Timer batch;   ///< dequeued -> this request's own tree pass starts
     obs::Timer tree;    ///< the tree operation itself
-    obs::Timer buffer;  ///< tree done -> response bytes buffered
+    obs::Timer buffer;  ///< tree done -> durable -> response bytes buffered
     obs::Timer flush;   ///< buffered -> last byte handed to the kernel
     obs::Timer total;   ///< admission -> flushed
   };
@@ -348,9 +369,15 @@ class Server {
                           const Request& request);
   /// Submits the pending batch (if any) to its shard's worker pool.
   void FlushBatch(const std::shared_ptr<Conn>& conn, Batch* batch);
+  /// Runs one batch's tree pass on a shard worker, then hands its acks to
+  /// the shard log's WhenDurable: the worker never waits for durability.
   void ExecuteBatch(std::shared_ptr<Conn> conn, int shard_index,
                     std::vector<AdmittedRequest> requests,
                     uint64_t enqueue_ns);
+  /// Acknowledges a batch whose writes are durable: counts completions,
+  /// buffers the responses, and releases the batch's admission budget last.
+  /// Runs on the worker (nothing to wait for) or the shard's WAL writer.
+  void CompleteBatch(ExecutedBatch* batch);
   /// Appends (and opportunistically flushes) responses under one buffer
   /// lock; safe from any thread. `close_after` poisons the connection once
   /// the buffer drains. `span` (optional) carries the stage metadata of
@@ -394,6 +421,10 @@ class Server {
   uint64_t wal_replayed_records_ = 0;
   uint64_t wal_replayed_segments_ = 0;
   uint64_t wal_truncated_bytes_ = 0;
+  // WAL appends/fsyncs already counted when the listeners opened (the
+  // preload), subtracted out of the serving-window figures.
+  uint64_t wal_preload_appends_ = 0;
+  uint64_t wal_preload_fsyncs_ = 0;
   std::vector<std::unique_ptr<Loop>> loops_;
   /// Serializes Shutdown against itself (signal-driven drain vs the
   /// destructor) and guards the final-snapshot state below.

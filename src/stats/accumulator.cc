@@ -87,13 +87,39 @@ Histogram::Histogram(double limit, size_t buckets)
   CBTREE_CHECK_GT(buckets, 0u);
 }
 
+Histogram Histogram::LogScale(double min, double limit, double growth) {
+  CBTREE_CHECK_GT(min, 0.0);
+  CBTREE_CHECK_GT(limit, min);
+  CBTREE_CHECK_GT(growth, 1.0);
+  Histogram hist;
+  hist.limit_ = limit;
+  hist.min_ = min;
+  hist.growth_ = growth;
+  const size_t log_buckets = static_cast<size_t>(
+      std::ceil(std::log(limit / min) / std::log(growth)));
+  hist.counts_.assign(log_buckets + 2, 0);  // + [0, min) + overflow
+  return hist;
+}
+
+size_t Histogram::BucketOf(double value) const {
+  if (value >= limit_) return counts_.size() - 1;
+  if (growth_ == 0.0) return static_cast<size_t>(value / bucket_width_);
+  if (value < min_) return 0;
+  const size_t bucket =
+      1 + static_cast<size_t>(std::log(value / min_) / std::log(growth_));
+  return std::min(bucket, counts_.size() - 2);
+}
+
+double Histogram::LowerEdge(size_t bucket) const {
+  if (growth_ == 0.0) return static_cast<double>(bucket) * bucket_width_;
+  if (bucket == 0) return 0.0;
+  return min_ * std::pow(growth_, static_cast<double>(bucket - 1));
+}
+
 void Histogram::Add(double value) {
   CBTREE_CHECK(!counts_.empty()) << "Add on an unconfigured Histogram";
   CBTREE_CHECK_GE(value, 0.0);
-  size_t idx = value >= limit_
-                   ? counts_.size() - 1
-                   : static_cast<size_t>(value / bucket_width_);
-  ++counts_[idx];
+  ++counts_[BucketOf(value)];
   ++count_;
   max_seen_ = std::max(max_seen_, value);
 }
@@ -108,6 +134,8 @@ void Histogram::Merge(const Histogram& other) {
       << "merging histograms with different bucket counts";
   CBTREE_CHECK_EQ(limit_, other.limit_)
       << "merging histograms with different limits";
+  CBTREE_CHECK(growth_ == other.growth_ && min_ == other.min_)
+      << "merging histograms with different bucket scales";
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
   max_seen_ = std::max(max_seen_, other.max_seen_);
@@ -129,7 +157,11 @@ double Histogram::Quantile(double q) const {
         double hi = std::max(max_seen_, limit_);
         return limit_ + frac * (hi - limit_);
       }
-      return (static_cast<double>(i) + frac) * bucket_width_;
+      if (growth_ == 0.0) {
+        return (static_cast<double>(i) + frac) * bucket_width_;
+      }
+      if (i == 0) return frac * min_;
+      return LowerEdge(i) * std::pow(growth_, frac);
     }
     cum = next;
   }
@@ -141,12 +173,11 @@ std::string Histogram::ToAscii(size_t width) const {
   for (size_t c : counts_) peak = std::max(peak, c);
   std::ostringstream out;
   for (size_t i = 0; i < counts_.size(); ++i) {
-    double lo = static_cast<double>(i) * bucket_width_;
     size_t bar = peak ? counts_[i] * width / peak : 0;
     if (i + 1 == counts_.size()) {
       out << ">= " << limit_;
     } else {
-      out << "[" << lo << ", " << lo + bucket_width_ << ")";
+      out << "[" << LowerEdge(i) << ", " << LowerEdge(i + 1) << ")";
     }
     out << "  " << std::string(bar, '#') << " " << counts_[i] << "\n";
   }

@@ -75,23 +75,35 @@ class Histogram {
   /// Unconfigured: Merge adopts the first non-empty operand's shape; Add
   /// aborts until then.
   Histogram() = default;
+  /// `buckets` equal-width buckets over [0, limit) plus an overflow bucket.
   Histogram(double limit, size_t buckets);
+  /// Log-scale buckets over [min, limit), each `growth` times as wide as
+  /// the one below it (1.02: every bucket spans 2% of its lower edge, so a
+  /// quantile is exact to 2% at any magnitude), plus [0, min) and an
+  /// overflow bucket.
+  static Histogram LogScale(double min, double limit, double growth);
 
   void Add(double value);
   /// Adds another histogram's counts. The shapes (limit, bucket count) must
   /// match unless one side is unconfigured/empty.
   void Merge(const Histogram& other);
   size_t count() const { return count_; }
-  /// Approximate quantile by linear interpolation within the bucket. An
-  /// empty histogram reports 0; quantiles landing in the overflow bucket
-  /// interpolate over [limit, max seen value].
+  /// Approximate quantile by interpolation within the bucket (linear, or
+  /// geometric for log-scale buckets). An empty histogram reports 0;
+  /// quantiles landing in the overflow bucket interpolate over [limit, max
+  /// seen value].
   double Quantile(double q) const;
   std::string ToAscii(size_t width = 50) const;
   const std::vector<size_t>& buckets() const { return counts_; }
 
  private:
+  size_t BucketOf(double value) const;
+  double LowerEdge(size_t bucket) const;
+
   double limit_ = 0.0;
   double bucket_width_ = 0.0;
+  double min_ = 0.0;     ///< log scale: upper edge of bucket 0
+  double growth_ = 0.0;  ///< log scale: bucket width ratio; 0 = linear
   std::vector<size_t> counts_;  // last bucket = overflow
   size_t count_ = 0;
   double max_seen_ = 0.0;

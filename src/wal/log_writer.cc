@@ -11,6 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <utility>
+
+#include "util/check.h"
 
 namespace cbtree {
 namespace wal {
@@ -165,6 +169,24 @@ void ShardLog::WaitDurable(uint64_t lsn) {
   }
 }
 
+void ShardLog::WhenDurable(uint64_t lsn, std::function<void()> callback) {
+  if (lsn != 0 && durable_lsn_.load(std::memory_order_acquire) < lsn) {
+    MutexLock lock(&mu_);
+    // Re-checked under mu_: the writer publishes every advance under it, so
+    // either this sees the advance or the writer sees this registration.
+    if (durable_lsn_.load(std::memory_order_acquire) < lsn) {
+      CBTREE_CHECK(lsn < next_lsn_) << "WhenDurable on an unassigned LSN";
+      ParkedCallback parked;
+      parked.lsn = lsn;
+      parked.parked_at = std::chrono::steady_clock::now();
+      parked.callback = std::move(callback);
+      parked_.push_back(std::move(parked));
+      return;
+    }
+  }
+  callback();
+}
+
 void ShardLog::SyncAll() {
   uint64_t last;
   {
@@ -231,11 +253,28 @@ void ShardLog::WriterLoop() {
                    shard_, std::strerror(errno));
       std::abort();
     }
+    std::vector<ParkedCallback> covered;
     {
       MutexLock lock(&mu_);
       durable_lsn_.store(last_lsn, std::memory_order_release);
+      // Take every parked callback this advance covers; the rest were
+      // appended after this group was cut and wait for a later one.
+      auto ready = std::partition(
+          parked_.begin(), parked_.end(),
+          [last_lsn](const ParkedCallback& p) { return p.lsn > last_lsn; });
+      covered.assign(std::make_move_iterator(ready),
+                     std::make_move_iterator(parked_.end()));
+      parked_.erase(ready, parked_.end());
     }
     durable_cv_.notify_all();
+    const auto now = std::chrono::steady_clock::now();
+    for (ParkedCallback& parked : covered) {
+      sync_wait_timer_.RecordNs(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              now - parked.parked_at)
+              .count()));
+      parked.callback();
+    }
   }
 }
 

@@ -8,25 +8,31 @@
 // and makes it durable with at most one fsync — this is where the server's
 // same-shard batching pays twice: K commits per fsync instead of one.
 //
-// Durability is a single monotone watermark per shard (`durable_lsn`).
-// WaitDurable(lsn) blocks until the watermark covers `lsn`; with
-// `--fsync=off` the watermark advances after write(2) (survives a process
-// SIGKILL via the page cache, not an OS crash), `data` after fdatasync,
-// `full` after fsync.
+// Durability is a single monotone watermark per shard (`durable_lsn`);
+// with `--fsync=off` it advances after write(2) (survives a process SIGKILL
+// via the page cache, not an OS crash), `data` after fdatasync, `full` after
+// fsync. Two ways to wait for it: WaitDurable(lsn) blocks the caller (the
+// trees' latch-held §7 retention waits), and WhenDurable(lsn, callback)
+// parks a callback that the writer thread runs right after the advance
+// covering `lsn` — the server releases its acks this way, so no worker
+// thread ever sits out a barrier.
 //
 // All file I/O — open/write/fsync/close — happens on the writer thread and
-// in Open/Close; tree code must go through Append*/WaitDurable only (the
-// cbtree-wal-append tidy check enforces exactly this).
+// in Open/Close; tree code must go through Append*/WaitDurable/WhenDurable
+// only (the cbtree-wal-append tidy check enforces exactly this).
 
 #ifndef CBTREE_WAL_LOG_WRITER_H_
 #define CBTREE_WAL_LOG_WRITER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
@@ -85,13 +91,21 @@ class ShardLog {
   ShardLog& operator=(const ShardLog&) = delete;
 
   /// Appends one record and returns its LSN (never 0). The record is NOT
-  /// durable yet — pair with WaitDurable. Thread-safe.
+  /// durable yet — pair with WaitDurable or WhenDurable. Thread-safe.
   uint64_t AppendInsert(Key key, Value value);
   uint64_t AppendDelete(Key key);
 
   /// Blocks until every record with LSN <= `lsn` is durable under the
   /// configured fsync mode. `lsn == 0` returns immediately.
   void WaitDurable(uint64_t lsn);
+
+  /// Runs `callback` once every record with LSN <= `lsn` is durable: inline
+  /// on the calling thread when it already is (or `lsn == 0`), otherwise on
+  /// the writer thread right after the watermark advance that covers `lsn`.
+  /// Never runs under the log mutex, and never after a failed barrier (the
+  /// writer aborts instead). A parked callback must not block on this log.
+  /// Its registration-to-run time is recorded as wal.sync_wait_ns.
+  void WhenDurable(uint64_t lsn, std::function<void()> callback);
 
   /// Blocks until everything appended so far (by any thread) is durable.
   void SyncAll();
@@ -102,8 +116,8 @@ class ShardLog {
   }
 
   /// Last LSN the *calling thread* appended to this log, or 0 if it never
-  /// appended here. Lets the server wait out one batch's durability with a
-  /// single call, without threading LSNs through the tree API.
+  /// appended here. Lets the server release one batch's acks with a single
+  /// WhenDurable, without threading LSNs through the tree API.
   uint64_t ThreadLastLsn() const;
 
   const WalStats& stats() const { return stats_; }
@@ -115,6 +129,13 @@ class ShardLog {
 
  private:
   ShardLog() = default;
+
+  /// A WhenDurable callback waiting for the watermark to reach `lsn`.
+  struct ParkedCallback {
+    uint64_t lsn = 0;
+    std::chrono::steady_clock::time_point parked_at;
+    std::function<void()> callback;
+  };
 
   uint64_t Append(RecordType type, Key key, Value value);
   void WriterLoop();
@@ -136,6 +157,10 @@ class ShardLog {
   Mutex mu_;
   std::condition_variable_any pending_cv_;  // appender -> writer
   std::condition_variable_any durable_cv_;  // writer -> waiters
+  /// WhenDurable callbacks not yet covered by durable_lsn_. Checked against
+  /// the watermark under mu_, the same lock the writer publishes it under,
+  /// so a registration can never miss the advance that covers it.
+  std::vector<ParkedCallback> parked_ CBTREE_GUARDED_BY(mu_);
   std::string buffer_ CBTREE_GUARDED_BY(mu_);
   uint64_t buffered_records_ CBTREE_GUARDED_BY(mu_) = 0;
   uint64_t buffered_first_lsn_ CBTREE_GUARDED_BY(mu_) = 0;

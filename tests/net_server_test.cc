@@ -1,13 +1,18 @@
 // In-process loopback integration tests for the net/ service layer: the
 // epoll server over every real tree protocol, pipelining and out-of-order
 // completion, malformed-frame handling over a live socket, backpressure at
-// the admission budget, graceful drain, and the open-loop driver's
-// zero-lost-requests accounting.
+// the admission budget, graceful drain, the open-loop driver's
+// zero-lost-requests accounting, and WAL-backed serving whose acks the log
+// writer releases once durable.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -410,6 +415,224 @@ TEST(NetServerTest, DriverSeesBackpressureAsRejectionsNotLosses) {
   EXPECT_GT(report.rejected, 0u);  // saturation really happened
   EXPECT_GT(report.completed, 0u);
   server.Shutdown();
+}
+
+// drive's percentiles come from its latency histogram; at loopback
+// latencies (tens of us) they must be exact to 2%, not bucket-width
+// guesses.
+TEST(DriveLatencyHistogramTest, PercentilesOfAKnownSampleWithinTwoPercent) {
+  // Two known samples: 1..10000 us uniform, and a geometric spread from
+  // 10 us to ~1 s in shuffled order.
+  std::vector<std::vector<double>> samples(2);
+  for (int k = 1; k <= 10000; ++k) samples[0].push_back(k * 1e-6);
+  for (int k = 0; k < 20000; ++k) {
+    samples[1].push_back(10e-6 * std::pow(1.000575, (k * 7919) % 20000));
+  }
+  for (const std::vector<double>& sample : samples) {
+    Histogram hist = LatencyHistogram(DriveOptions().histogram_limit_seconds);
+    for (double v : sample) hist.Add(v);
+    std::vector<double> sorted = sample;
+    std::sort(sorted.begin(), sorted.end());
+    for (double q : {0.50, 0.99}) {
+      const size_t rank = static_cast<size_t>(
+          std::ceil(q * static_cast<double>(sorted.size())));
+      const double exact = sorted[rank - 1];
+      EXPECT_NEAR(hist.Quantile(q), exact, 0.02 * exact) << "q=" << q;
+    }
+  }
+}
+
+/// Unique scratch WAL directory, removed (recursively) on scope exit.
+class TempWalDir {
+ public:
+  TempWalDir() {
+    char tmpl[] = "/tmp/cbtree_net_wal_XXXXXX";
+    char* made = mkdtemp(tmpl);
+    EXPECT_NE(made, nullptr);
+    path_ = made != nullptr ? made : "/tmp";
+  }
+  ~TempWalDir() {
+    std::string cmd = "rm -rf '" + path_ + "'";
+    if (std::system(cmd.c_str()) != 0) {
+      std::fprintf(stderr, "TempWalDir cleanup failed: %s\n", path_.c_str());
+    }
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+ServerOptions WalServerOptions(const std::string& dir,
+                               RecoveryPolicy retention,
+                               uint32_t group_commit_us) {
+  ServerOptions options = LoopbackOptions(Algorithm::kOlc);
+  options.wal_dir = dir;
+  options.wal_fsync = wal::FsyncMode::kData;
+  options.wal_group_commit_us = group_commit_us;
+  options.wal_retention = retention;
+  return options;
+}
+
+/// Polls `done` for up to 10 s.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// One shard, one worker, a 200 ms group-commit window: a write batch's ack
+// parks on the log, and the lone worker is free to answer a read-only batch
+// from another connection while the write still waits for its barrier.
+TEST(NetServerWalTest, ReadsAreAnsweredWhileAWriteWaitsForDurability) {
+  TempWalDir dir;
+  ServerOptions options = WalServerOptions(
+      dir.path(), RecoveryPolicy::kNone, /*group_commit_us=*/200000);
+  options.shards = 1;
+  options.workers = 1;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const wal::ShardLog* log = server.wal_log(0);
+  ASSERT_NE(log, nullptr);
+
+  Client writer;
+  Client reader;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", server.port(), &error)) << error;
+  ASSERT_TRUE(reader.Connect("127.0.0.1", server.port(), &error)) << error;
+  Request insert;
+  insert.op = OpCode::kInsert;
+  insert.id = 1;
+  insert.key = 5;
+  insert.value = 50;
+  ASSERT_TRUE(writer.Send(insert));
+  // The write has executed (its record is appended) before the read goes in.
+  ASSERT_TRUE(WaitFor([&] { return log->stats().appends.load() == 1; }));
+  const uint64_t write_lsn = 1;
+
+  Request search;
+  search.op = OpCode::kSearch;
+  search.id = 2;
+  search.key = 7;
+  ASSERT_TRUE(reader.Send(search));
+  Response response;
+  ASSERT_EQ(reader.ReceivePoll(&response, 10000), 1);
+  EXPECT_EQ(response.id, 2u);
+  EXPECT_EQ(response.status, Status::kNotFound);
+  // The read came back while the write was still short of durable, and the
+  // write's ack has not gone out.
+  EXPECT_LT(log->DurableLsn(), write_lsn);
+  EXPECT_EQ(writer.ReceivePoll(&response, 0), 0);
+
+  ASSERT_EQ(writer.ReceivePoll(&response, 10000), 1);
+  EXPECT_EQ(response.id, 1u);
+  EXPECT_EQ(response.status, Status::kInserted);
+  EXPECT_GE(log->DurableLsn(), write_lsn)
+      << "a write was acknowledged before its LSN was durable";
+  writer.Close();
+  reader.Close();
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.wal.appends, 1u);
+}
+
+// --recovery=leaf|naive keep the paper's latch-held wait in the tree: the
+// batch's LSN is durable by the time the pass ends, and the ack goes out
+// right away — still never before the barrier.
+TEST(NetServerWalTest, LatchHeldRetentionRepliesOnlyAfterDurable) {
+  for (RecoveryPolicy retention :
+       {RecoveryPolicy::kLeafOnly, RecoveryPolicy::kNaive}) {
+    TempWalDir dir;
+    ServerOptions options = WalServerOptions(dir.path(), retention,
+                                             /*group_commit_us=*/20000);
+    options.shards = 1;
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    const wal::ShardLog* log = server.wal_log(0);
+    ASSERT_NE(log, nullptr);
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+    for (uint64_t i = 1; i <= 5; ++i) {
+      EXPECT_EQ(client.Insert(static_cast<Key>(i), 1), Status::kInserted);
+      EXPECT_GE(log->DurableLsn(), i)
+          << "write " << i << " acknowledged before durable under "
+          << RecoveryPolicyName(retention);
+    }
+    client.Close();
+    server.Shutdown();
+    EXPECT_EQ(server.stats().wal.appends, 5u);
+  }
+}
+
+// A SIGTERM-path drain while acks are parked on the logs: the drain waits
+// for the writers to release them, every admitted request is answered, and
+// the accounting identity holds.
+TEST(NetServerWalTest, DrainWithParkedAcksAnswersEveryAdmittedRequest) {
+  SignalDrain::Install();
+  SignalDrain::ResetForTest();
+  TempWalDir dir;
+  ServerOptions options = WalServerOptions(
+      dir.path(), RecoveryPolicy::kNone, /*group_commit_us=*/500000);
+  options.shards = 2;
+  options.loops = 2;
+  options.workers = 2;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread serving([&] { server.ServeUntil(SignalDrain::wake_fd()); });
+
+  constexpr int kClients = 4;
+  constexpr uint64_t kPerClient = 20;
+  std::vector<Client> clients(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(clients[c].Connect("127.0.0.1", server.port(), &error))
+        << error;
+    for (uint64_t i = 0; i < kPerClient; ++i) {
+      Request request;
+      request.op = OpCode::kInsert;
+      request.id = i + 1;
+      request.key = static_cast<Key>(c * kPerClient + i + 1);
+      request.value = 1;
+      ASSERT_TRUE(clients[c].Send(request));
+    }
+  }
+  // Every write executed and appended, none durable yet: all acks parked.
+  auto appended = [&] {
+    return server.wal_log(0)->stats().appends.load() +
+           server.wal_log(1)->stats().appends.load();
+  };
+  ASSERT_TRUE(WaitFor([&] { return appended() == kClients * kPerClient; }));
+  EXPECT_EQ(server.wal_log(0)->DurableLsn() + server.wal_log(1)->DurableLsn(),
+            0u);
+  SignalDrain::Trigger();  // same path a SIGTERM takes
+
+  uint64_t acked = 0;
+  for (Client& client : clients) {
+    for (uint64_t i = 0; i < kPerClient; ++i) {
+      Response response;
+      ASSERT_EQ(client.ReceivePoll(&response, 10000), 1);
+      EXPECT_EQ(response.status, Status::kInserted);
+      ++acked;
+    }
+    client.Close();
+  }
+  serving.join();
+  EXPECT_FALSE(server.running());
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(acked, kClients * kPerClient);
+  EXPECT_EQ(stats.completed, acked);
+  EXPECT_EQ(stats.requests_received,
+            stats.completed + stats.rejected + stats.shutdown_rejected);
+  EXPECT_GE(server.wal_log(0)->DurableLsn() + server.wal_log(1)->DurableLsn(),
+            acked);
+  SignalDrain::ResetForTest();
 }
 
 }  // namespace

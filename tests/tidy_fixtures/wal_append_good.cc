@@ -13,6 +13,7 @@ class ShardLog {
   unsigned long AppendInsert(Key key, Value value);
   unsigned long AppendDelete(Key key);
   void WaitDurable(unsigned long lsn);
+  void WhenDurable(unsigned long lsn, void (*callback)());
   void SyncAll();
 
  private:
@@ -45,6 +46,13 @@ bool ShardLog::FlushGroup(const char* data, unsigned long size) {
 void InsertDurable(wal::ShardLog* log, Key key, Value value) {
   const unsigned long lsn = log->AppendInsert(key, value);
   log->WaitDurable(lsn);
+}
+
+// A clean asynchronous ack: the reply goes out from the callback the log
+// runs once `lsn` is durable, with no file I/O on this path.
+void InsertThenAck(wal::ShardLog* log, Key key, Value value,
+                   void (*send_ack)()) {
+  log->WhenDurable(log->AppendInsert(key, value), send_ack);
 }
 
 struct StatsSink {

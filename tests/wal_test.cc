@@ -1,7 +1,8 @@
 // WAL format and group-commit log writer: encode/decode round-trips, CRC
 // rejection, segment naming, and the ShardLog durability contract (dense
-// LSNs, WaitDurable watermark, group coalescing, rotation, all three fsync
-// modes, idempotent Close).
+// LSNs, WaitDurable watermark, WhenDurable callbacks released by the
+// writer, group coalescing, rotation, all three fsync modes, idempotent
+// Close).
 
 #include <gtest/gtest.h>
 
@@ -9,12 +10,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/registry.h"
 #include "wal/log_writer.h"
 #include "wal/wal_format.h"
 
@@ -336,6 +339,147 @@ TEST(ShardLogTest, SyncAllCoversEveryThread) {
   log->SyncAll();
   EXPECT_GE(log->DurableLsn(), max_lsn.load());
   log->Close();
+}
+
+TEST(ShardLogTest, WhenDurableRunsInlineWhenAlreadyDurable) {
+  TempDir tmp;
+  std::string error;
+  auto log = ShardLog::Open(TestOptions(tmp.path(), FsyncMode::kOff), &error);
+  ASSERT_NE(log, nullptr) << error;
+  // LSN 0 (a batch that appended nothing) never waits.
+  bool ran = false;
+  log->WhenDurable(0, [&] { ran = true; });
+  EXPECT_TRUE(ran);
+  // Registered after the advance: runs on the calling thread, before
+  // WhenDurable returns.
+  const uint64_t lsn = log->AppendInsert(1, 1);
+  log->WaitDurable(lsn);
+  ran = false;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  log->WhenDurable(lsn, [&] {
+    ran = true;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ran_on, caller);
+  log->Close();
+}
+
+TEST(ShardLogTest, WhenDurableParksUntilTheAdvanceCoversIt) {
+  TempDir tmp;
+  std::string error;
+  obs::Registry registry;
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kData);
+  // A long coalescing window: the registration below always lands before
+  // the writer's advance.
+  options.group_commit_us = 100000;
+  options.registry = &registry;
+  auto log = ShardLog::Open(options, &error);
+  ASSERT_NE(log, nullptr) << error;
+
+  const uint64_t lsn = log->AppendInsert(7, 70);
+  std::atomic<bool> ran{false};
+  std::atomic<uint64_t> durable_at_run{0};
+  std::thread::id ran_on;
+  log->WhenDurable(lsn, [&] {
+    durable_at_run.store(log->DurableLsn());
+    ran_on = std::this_thread::get_id();
+    ran.store(true, std::memory_order_release);
+  });
+  // Parked, not run: the caller returns at once.
+  EXPECT_LT(log->DurableLsn(), lsn);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ran.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(ran.load(std::memory_order_acquire));
+  EXPECT_GE(durable_at_run.load(), lsn)
+      << "a parked callback ran before its LSN was durable";
+  EXPECT_NE(ran_on, std::this_thread::get_id())
+      << "a parked callback runs on the writer thread";
+#if CBTREE_OBS_ENABLED
+  // The parked wait is the durable wait: it lands in wal.sync_wait_ns.
+  const obs::Snapshot snapshot = registry.Read();
+  const auto it = snapshot.timers.find("wal.sync_wait_ns.s0");
+  ASSERT_NE(it, snapshot.timers.end());
+  EXPECT_EQ(it->second.count, 1u);
+  EXPECT_GE(it->second.total_ns, 50000000u)
+      << "recorded from registration to callback";
+#endif
+  log->Close();
+}
+
+TEST(ShardLogTest, CloseReleasesParkedCallbacks) {
+  TempDir tmp;
+  std::string error;
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kData);
+  options.group_commit_us = 10000000;  // only Close cuts the window short
+  auto log = ShardLog::Open(options, &error);
+  ASSERT_NE(log, nullptr) << error;
+  constexpr int kParked = 16;
+  std::atomic<int> ran{0};
+  std::atomic<int> early{0};
+  for (int i = 0; i < kParked; ++i) {
+    const uint64_t lsn = log->AppendInsert(i, i);
+    log->WhenDurable(lsn, [&, lsn] {
+      if (log->DurableLsn() < lsn) early.fetch_add(1);
+      ran.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(ran.load(), 0);
+  log->Close();  // flushes the tail, then releases every parked callback
+  EXPECT_EQ(ran.load(), kParked);
+  EXPECT_EQ(early.load(), 0);
+}
+
+// Many registrants race the writer's advances: each appends and registers
+// at once (before, during or after the advance that covers it), and some
+// re-register on an older, probably durable LSN. Every callback must run
+// exactly once, and never before its LSN is durable. Under TSAN this is
+// the parked-list race test.
+TEST(ShardLogTest, WhenDurableRegistrantsRaceTheWriter) {
+  TempDir tmp;
+  std::string error;
+  // fsync=data keeps each barrier long enough that many registrations land
+  // between a group's cut and its advance, for LSNs the group does not hold.
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kData);
+  options.group_commit_us = 20;
+  auto log = ShardLog::Open(options, &error);
+  ASSERT_NE(log, nullptr) << error;
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 1000;
+  std::atomic<int> ran{0};
+  std::atomic<int> early{0};
+  std::vector<std::thread> threads;
+  int registered = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t older = 0;
+      for (int i = 0; i < kPerThread; ++i) {
+        const uint64_t lsn =
+            log->AppendInsert(static_cast<Key>(t * kPerThread + i), i);
+        const uint64_t wait_on = (i % 4 == 3) ? older : lsn;
+        log->WhenDurable(wait_on, [&, wait_on] {
+          if (log->DurableLsn() < wait_on) early.fetch_add(1);
+          ran.fetch_add(1);
+        });
+        if (i % 8 == 0) older = lsn;
+        // Spread the appends over many group cycles.
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+    registered += kPerThread;
+  }
+  for (auto& thread : threads) thread.join();
+  log->Close();  // joins the writer: every parked callback has run
+  EXPECT_EQ(ran.load(), registered);
+  EXPECT_EQ(early.load(), 0);
+  EXPECT_GE(log->DurableLsn(),
+            static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(ShardLogTest, OpenFailsOnUnwritableDirectory) {

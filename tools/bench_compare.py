@@ -25,17 +25,17 @@ sub-saturation, where achieved throughput tracks lambda, not the machine.
 
 --wal-protocols replays the committed BENCH_serve_<protocol>_wal.json
 campaigns (write-ahead logged serving, --fsync=data) under the same rules,
-plus one WAL-specific hard invariant: group commit must actually amortize —
-a run where every append paid its own fsync is a durability-pipeline
-regression, not machine noise.
+plus one WAL-specific hard invariant: group commit must actually amortize
+over the serving window (preload excluded) — a run where every append paid
+its own fsync is a durability-pipeline regression, not machine noise.
 """
 
 import json
 import subprocess
 import sys
 
-from bench_baseline import (PROTOCOLS, QUICK_OVERRIDES, SCHEMA,
-                            WAL_PROTOCOLS, baseline_path, run_campaign)
+from bench_baseline import (PROTOCOLS, SCHEMA, WAL_PROTOCOLS, baseline_path,
+                            quick_overrides, run_campaign)
 
 
 def fail(message):
@@ -119,7 +119,7 @@ def main():
             fail(f"{path}: unknown schema {baseline.get('schema')}")
         config = dict(baseline["config"])
         if quick:
-            config.update(QUICK_OVERRIDES)
+            config.update(quick_overrides(config))
         committed = baseline["result"]
         committed_build = baseline.get("build", {})
 
@@ -143,18 +143,21 @@ def main():
                 f"({p99_delta:+.1%})")
         if wal:
             wal_stats = report["wal"]
-            amortization = wal_stats["appends"] / max(wal_stats["fsyncs"], 1)
-            line += (f", wal {wal_stats['appends']} appends / "
-                     f"{wal_stats['fsyncs']} fsyncs ({amortization:.1f}x)")
+            appends = wal_stats["serving_appends"]
+            fsyncs = wal_stats["serving_fsyncs"]
+            amortization = appends / max(fsyncs, 1)
+            line += (f", wal serving {appends} appends / {fsyncs} fsyncs "
+                     f"({amortization:.1f}x)")
             # Group commit must amortize: near-1x on a sizeable run means
             # every append paid its own durability barrier — a pipeline
             # regression, not noise (slower disks coalesce MORE, not less).
+            # Judged on the serving window only: the preload is logged in
+            # one burst before the listeners open and would pass any gate.
             if (config.get("fsync") != "off"
-                    and wal_stats["appends"] >= 1000 and amortization < 2.0):
+                    and appends >= 1000 and amortization < 2.0):
                 hard_failures.append(
                     f"{label}: group commit not amortizing: "
-                    f"{wal_stats['appends']} appends took "
-                    f"{wal_stats['fsyncs']} fsyncs")
+                    f"{appends} serving appends took {fsyncs} fsyncs")
         # Only a throughput SHORTFALL beyond tolerance is flagged; running
         # faster than the committed number is not a regression. When --quick
         # changes lambda, compare against the offered load instead of the

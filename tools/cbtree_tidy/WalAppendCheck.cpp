@@ -59,9 +59,9 @@ void WalAppendCheck::registerMatchers(MatchFinder *Finder) {
   // mutation path.
   Finder->addMatcher(
       callExpr(callee(functionDecl(hasAnyName(
-                   "AppendInsert", "AppendDelete", "WaitDurable", "SyncAll",
-                   "LogInsert", "LogDelete", "WalLogInsert", "WalLogDelete",
-                   "WalWaitDurable"))),
+                   "AppendInsert", "AppendDelete", "WaitDurable",
+                   "WhenDurable", "SyncAll", "LogInsert", "LogDelete",
+                   "WalLogInsert", "WalLogDelete", "WalWaitDurable"))),
                forFunction(functionDecl(hasBody(compoundStmt())).bind("fn")))
           .bind("api"),
       this);
@@ -93,13 +93,14 @@ void WalAppendCheck::onEndOfTranslationUnit() {
       if (OnMutationPath)
         diag(Call.Loc,
              "raw '%0' on a logged mutation path; tree writes reach the log "
-             "only through the group-commit API (Append*/WaitDurable)")
+             "only through the group-commit API "
+             "(Append*/WaitDurable/WhenDurable)")
             << Call.Callee;
       else if (InWal)
         diag(Call.Loc,
              "raw '%0' in the WAL outside the writer-side I/O layer "
              "(WriteAll/FlushGroup/OpenSegment/SyncFd); appenders go through "
-             "Append*/WaitDurable")
+             "Append*/WaitDurable/WhenDurable")
             << Call.Callee;
     }
   }

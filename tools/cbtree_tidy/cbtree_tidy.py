@@ -39,7 +39,8 @@ Checks (see docs/STATIC_ANALYSIS.md, "Project-specific checks"):
                            pointer only in destructors and
                            CBTREE_EPOCH_QUIESCENT reclamation paths.
   cbtree-wal-append        Logged mutation paths (anything calling the WAL
-                           group-commit API: Append*/WaitDurable/SyncAll or
+                           group-commit API: Append*/WaitDurable/
+                           WhenDurable/SyncAll or
                            the WalLog*/WalWaitDurable tree hooks) must never
                            issue raw write-side file syscalls
                            (write/pwrite/fwrite/fsync/fdatasync/...); inside
@@ -101,7 +102,7 @@ WAL_WRITER_SIDE = {
 # The group-commit API: a function calling any of these is on a logged
 # mutation path and must not also write files by hand.
 WAL_APPEND_API = (
-    "AppendInsert", "AppendDelete", "WaitDurable", "SyncAll",
+    "AppendInsert", "AppendDelete", "WaitDurable", "WhenDurable", "SyncAll",
     "LogInsert", "LogDelete", "WalLogInsert", "WalLogDelete",
     "WalWaitDurable",
 )
@@ -730,14 +731,14 @@ def check_wal_append(src, diags):
                     src.path, line, col,
                     "raw '%s' on a logged mutation path; tree writes reach "
                     "the log only through the group-commit API "
-                    "(Append*/WaitDurable)" % m.group(2),
+                    "(Append*/WaitDurable/WhenDurable)" % m.group(2),
                     "cbtree-wal-append"))
             elif in_wal_layer:
                 diags.append(Diagnostic(
                     src.path, line, col,
                     "raw '%s' in the WAL outside the writer-side I/O layer "
                     "(WriteAll/FlushGroup/OpenSegment/SyncFd); appenders go "
-                    "through Append*/WaitDurable" % m.group(2),
+                    "through Append*/WaitDurable/WhenDurable" % m.group(2),
                     "cbtree-wal-append"))
 
 
