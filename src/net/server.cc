@@ -780,18 +780,21 @@ std::string Server::BuildStatsBody(StatsFormat format) const {
     out += line;
     const double interval_dt = last.t_end_s - last.t_begin_s;
     for (size_t s = 0; s < shards_.size(); ++s) {
-      double rate = 0.0;
+      // A rate needs a finished interval; before the first one (or with
+      // the ticker off) there is none to report, which is not zero.
+      char rate[32] = "n/a";
       if (intervals_recorded > 0 && interval_dt > 0) {
-        rate = static_cast<double>(
-                   CounterOf(last.delta,
-                             "srv.shard" + std::to_string(s) + ".executed")) /
-               interval_dt;
+        std::snprintf(
+            rate, sizeof(rate), "%.1f",
+            static_cast<double>(CounterOf(
+                last.delta, "srv.shard" + std::to_string(s) + ".executed")) /
+                interval_dt);
       }
       const obs::TimerSnapshot tree_t = StageTimerOf(snapshot, "tree", s);
       const obs::TimerSnapshot total_t = StageTimerOf(snapshot, "total", s);
       std::snprintf(
           line, sizeof(line),
-          "s%-5zu %12llu %10zu %9llu %10.1f %12.1f %12.1f %13.1f %13.1f\n",
+          "s%-5zu %12llu %10zu %9llu %10s %12.1f %12.1f %13.1f %13.1f\n",
           s,
           static_cast<unsigned long long>(
               shards_[s]->executed.load(std::memory_order_relaxed)),

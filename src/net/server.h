@@ -135,7 +135,9 @@ struct ServerOptions {
   /// server.
   std::string wal_dir;
   wal::FsyncMode wal_fsync = wal::FsyncMode::kData;
-  /// Group-commit coalescing window, microseconds (see wal::WalOptions).
+  /// Group-commit coalescing window, microseconds: the longest a record
+  /// waits for company, counted from its group's first append (see
+  /// wal::WalOptions).
   uint32_t wal_group_commit_us = 200;
   uint64_t wal_segment_bytes = 64ull << 20;
   /// Paper §7 lock-retention policy applied live by the trees (kNone: no

@@ -48,20 +48,6 @@ bool MakeDirs(const std::string& path) {
   return true;
 }
 
-// write(2) until the whole buffer is down, retrying short writes and EINTR.
-bool WriteAll(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);  // NOLINT(cbtree-wal-append)
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 const char* FsyncModeName(FsyncMode mode) {
@@ -96,6 +82,7 @@ std::unique_ptr<ShardLog> ShardLog::Open(const WalOptions& options,
   log->shard_ = options.shard;
   log->fsync_ = options.fsync;
   log->group_commit_us_ = options.group_commit_us;
+  log->syscalls_ = options.syscalls;
   // A segment must at least fit its header plus one record.
   log->segment_bytes_ =
       std::max<uint64_t>(options.segment_bytes,
@@ -138,7 +125,11 @@ uint64_t ShardLog::Append(RecordType type, Key key, Value value) {
   {
     MutexLock lock(&mu_);
     lsn = next_lsn_++;
-    if (buffered_records_ == 0) buffered_first_lsn_ = lsn;
+    if (buffered_records_ == 0) {
+      // This record opens a group: its coalescing window starts now.
+      buffered_first_lsn_ = lsn;
+      buffered_since_ = std::chrono::steady_clock::now();
+    }
     WalRecord record;
     record.type = type;
     record.lsn = lsn;
@@ -205,11 +196,10 @@ void ShardLog::Close() {
   pending_cv_.notify_all();
   if (writer_.joinable()) writer_.join();
   if (fd_ >= 0) {
-    if (fsync_ == FsyncMode::kFull) {
-      ::fsync(fd_);  // NOLINT(cbtree-wal-append)
-    } else if (fsync_ == FsyncMode::kData) {
-      ::fdatasync(fd_);  // NOLINT(cbtree-wal-append)
-    }
+    // The writer flushed and synced every group before it returned; what
+    // is left is trimming the preallocated tail, best effort (recovery
+    // trims a zero tail itself).
+    SealSegment();
     ::close(fd_);
     fd_ = -1;
   }
@@ -226,12 +216,13 @@ void ShardLog::WriterLoop() {
       while (!stop_ && buffered_records_ == 0) mu_.Wait(&pending_cv_);
       if (buffered_records_ == 0) return;  // stop_ && drained
       if (group_commit_us_ > 0 && !stop_) {
-        // Coalescing window: stay asleep until the deadline so concurrent
-        // appenders pile into this group (notify wakes us early; keep
-        // waiting out the remainder).
+        // Coalescing window, counted from the group's first append: stay
+        // asleep until the deadline so concurrent appenders pile into this
+        // group (notify wakes us early; keep waiting out the remainder). A
+        // group that opened while the writer was busy with the previous
+        // barrier has already waited part of it, or all.
         const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(group_commit_us_);
+            buffered_since_ + std::chrono::microseconds(group_commit_us_);
         while (!stop_) {
           const auto now = std::chrono::steady_clock::now();
           if (now >= deadline) break;
@@ -281,12 +272,41 @@ void ShardLog::WriterLoop() {
 bool ShardLog::SyncFd() {
   if (fsync_ == FsyncMode::kOff) return true;
   obs::ScopedTimer scoped(fsync_timer_);
-  const int rc = fsync_ == FsyncMode::kFull
-                     ? ::fsync(fd_)       // NOLINT(cbtree-wal-append)
-                     : ::fdatasync(fd_);  // NOLINT(cbtree-wal-append)
+  int rc;
+  if (syscalls_.sync) {
+    rc = syscalls_.sync(fd_);
+  } else {
+    rc = fsync_ == FsyncMode::kFull
+             ? ::fsync(fd_)       // NOLINT(cbtree-wal-append)
+             : ::fdatasync(fd_);  // NOLINT(cbtree-wal-append)
+  }
   if (rc != 0) return false;
   stats_.fsyncs.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+bool ShardLog::WriteAll(const char* data, size_t size) {
+  while (size > 0) {
+    const ssize_t n =
+        syscalls_.write ? syscalls_.write(fd_, data, size)
+                        : ::write(fd_, data, size);  // NOLINT(cbtree-wal-append)
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool ShardLog::SealSegment() {
+  const off_t length = static_cast<off_t>(segment_written_);
+  const int rc =
+      syscalls_.ftruncate
+          ? syscalls_.ftruncate(fd_, length)
+          : ::ftruncate(fd_, length);  // NOLINT(cbtree-wal-append)
+  return rc == 0 && SyncFd();
 }
 
 bool ShardLog::FlushGroup(const std::string& group, uint64_t first_lsn,
@@ -301,9 +321,10 @@ bool ShardLog::FlushGroup(const std::string& group, uint64_t first_lsn,
   while (offset < group.size()) {
     if (segment_written_ > kSegmentHeaderSize &&
         segment_written_ + kRecordFrameSize > segment_bytes_) {
-      // Seal the full segment (sync per mode — its records may already be
-      // acknowledged) and start the next at the first unwritten LSN.
-      if (!SyncFd()) return false;
+      // Seal the full segment (trim the preallocated tail, sync per mode —
+      // its records may already be acknowledged) and start the next at the
+      // first unwritten LSN.
+      if (!SealSegment()) return false;
       ::close(fd_);
       fd_ = -1;
       std::string error;
@@ -320,7 +341,7 @@ bool ShardLog::FlushGroup(const std::string& group, uint64_t first_lsn,
         std::min<uint64_t>(std::max<uint64_t>(room, 1), record_count - written);
     const size_t chunk =
         static_cast<size_t>(chunk_records) * kRecordFrameSize;
-    if (!WriteAll(fd_, group.data() + offset, chunk)) return false;
+    if (!WriteAll(group.data() + offset, chunk)) return false;
     segment_written_ += chunk;
     offset += chunk;
     written += chunk_records;
@@ -351,12 +372,22 @@ bool ShardLog::OpenSegment(uint64_t start_lsn, std::string* error) {
   h.shard = shard_;
   h.start_lsn = start_lsn;
   AppendSegmentHeader(h, &header);
-  if (!WriteAll(fd_, header.data(), header.size())) {
+  if (!WriteAll(header.data(), header.size())) {
     *error = "wal: cannot write segment header " + path + ": " +
              std::strerror(errno);
     ::close(fd_);
     fd_ = -1;
     return false;
+  }
+  // Preallocate the whole segment, so group writes land inside the file's
+  // size and each barrier syncs data only, not a size change. Where the
+  // filesystem cannot (EOPNOTSUPP, ENOSPC, ...), the file grows by append
+  // instead; either way the seal trims it to what was written.
+  const off_t length = static_cast<off_t>(segment_bytes_);
+  if (syscalls_.fallocate) {
+    syscalls_.fallocate(fd_, length);
+  } else {
+    ::fallocate(fd_, 0, 0, length);  // NOLINT(cbtree-wal-append)
   }
   if (fsync_ != FsyncMode::kOff) {
     // Make the file's existence durable too: sync the directory entry.

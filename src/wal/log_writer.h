@@ -2,11 +2,20 @@
 //
 // Appenders (the shard's worker threads) serialize records into an in-memory
 // buffer under the log mutex and return immediately with their LSN; a
-// dedicated log-writer thread wakes on the first pending record, sleeps out a
-// configurable coalescing window (`group_commit_us`) so concurrent appends
-// pile into the same group, then writes the whole group with one write(2)
-// and makes it durable with at most one fsync — this is where the server's
-// same-shard batching pays twice: K commits per fsync instead of one.
+// dedicated log-writer thread cuts the group once its first record has
+// waited out a configurable coalescing window (`group_commit_us`), so
+// concurrent appends pile into the same group, then writes the whole group
+// with one write(2) and makes it durable with at most one fsync — this is
+// where the server's same-shard batching pays twice: K commits per fsync
+// instead of one. The window runs from the group's first append, not from
+// the writer's wake-up, so under load the previous group's barrier and
+// release overlap the next group's window instead of preceding it.
+//
+// Each segment is preallocated to `segment_bytes` when it is opened, so
+// group writes land inside the file's size and fdatasync flushes data, not
+// a size change, per group. A segment is trimmed to its written length when
+// it is sealed (rotation) or closed; after a crash, recovery recognises the
+// all-zero preallocated tail and trims it (see recovery.h).
 //
 // Durability is a single monotone watermark per shard (`durable_lsn`);
 // with `--fsync=off` it advances after write(2) (survives a process SIGKILL
@@ -17,12 +26,15 @@
 // covering `lsn` — the server releases its acks this way, so no worker
 // thread ever sits out a barrier.
 //
-// All file I/O — open/write/fsync/close — happens on the writer thread and
-// in Open/Close; tree code must go through Append*/WaitDurable/WhenDurable
-// only (the cbtree-wal-append tidy check enforces exactly this).
+// All file I/O — open/fallocate/write/fsync/ftruncate/close — happens on
+// the writer thread and in Open/Close; tree code must go through
+// Append*/WaitDurable/WhenDurable only (the cbtree-wal-append tidy check
+// enforces exactly this).
 
 #ifndef CBTREE_WAL_LOG_WRITER_H_
 #define CBTREE_WAL_LOG_WRITER_H_
+
+#include <sys/types.h>
 
 #include <atomic>
 #include <chrono>
@@ -52,12 +64,23 @@ enum class FsyncMode : uint8_t {
 const char* FsyncModeName(FsyncMode mode);
 bool ParseFsyncMode(const std::string& text, FsyncMode* out);
 
+/// The writer's file syscalls, each with the real call's signature and
+/// return/errno contract. `sync` is fdatasync(2) or fsync(2) per FsyncMode.
+struct WalSyscalls {
+  std::function<ssize_t(int fd, const void* data, size_t size)> write;
+  std::function<int(int fd)> sync;
+  std::function<int(int fd, off_t length)> fallocate;
+  std::function<int(int fd, off_t length)> ftruncate;
+};
+
 struct WalOptions {
   std::string dir;  ///< shard log directory (created if absent)
   uint32_t shard = 0;
   FsyncMode fsync = FsyncMode::kData;
-  /// Coalescing window the writer sleeps after the first pending append
-  /// before flushing the group. 0 flushes as soon as the writer wakes.
+  /// The longest a record waits for company before its group is cut: the
+  /// writer flushes a group `group_commit_us` after the append that opened
+  /// it (or as soon as it is free, if the group is already older). 0
+  /// flushes as soon as the writer wakes.
   uint32_t group_commit_us = 200;
   /// Segment rotation threshold (bytes of records per segment file).
   uint64_t segment_bytes = 64ull << 20;
@@ -66,6 +89,9 @@ struct WalOptions {
   /// Optional instrumentation sink; may be null. Plain-atomic WalStats are
   /// maintained regardless, so the serve report works under CBTREE_OBS=OFF.
   obs::Registry* registry = nullptr;
+  /// Test-only: replaces the writer's file syscalls (e.g. to inject short
+  /// writes, EINTR, EIO or ENOSPC). Unset members make the real call.
+  WalSyscalls syscalls;
 };
 
 /// Functional commit accounting (not obs — these survive -DCBTREE_OBS=OFF
@@ -142,6 +168,11 @@ class ShardLog {
   /// One durability barrier on the current segment per the fsync mode
   /// (no-op under kOff). Returns false on syscall failure.
   bool SyncFd();
+  /// write(2) until all of `data` is down, retrying short writes and EINTR.
+  bool WriteAll(const char* data, size_t size);
+  /// Trims the current segment to its written length (dropping the
+  /// preallocated tail) and syncs it. Returns false on syscall failure.
+  bool SealSegment();
   /// Writes `group` to the current segment (rotating first if it would
   /// overflow), then syncs per `fsync_`. Returns false on I/O failure.
   bool FlushGroup(const std::string& group, uint64_t first_lsn,
@@ -153,6 +184,7 @@ class ShardLog {
   FsyncMode fsync_ = FsyncMode::kData;
   uint32_t group_commit_us_ = 0;
   uint64_t segment_bytes_ = 0;
+  WalSyscalls syscalls_;
 
   Mutex mu_;
   std::condition_variable_any pending_cv_;  // appender -> writer
@@ -164,6 +196,9 @@ class ShardLog {
   std::string buffer_ CBTREE_GUARDED_BY(mu_);
   uint64_t buffered_records_ CBTREE_GUARDED_BY(mu_) = 0;
   uint64_t buffered_first_lsn_ CBTREE_GUARDED_BY(mu_) = 0;
+  /// When the buffered group's first record was appended: the start of its
+  /// coalescing window.
+  std::chrono::steady_clock::time_point buffered_since_ CBTREE_GUARDED_BY(mu_);
   uint64_t next_lsn_ CBTREE_GUARDED_BY(mu_) = 1;
   bool stop_ CBTREE_GUARDED_BY(mu_) = false;
   bool io_failed_ CBTREE_GUARDED_BY(mu_) = false;

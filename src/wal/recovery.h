@@ -10,12 +10,27 @@
 // produced (records are appended while the leaf latch/version lock is held).
 //
 // Failure taxonomy:
-//   - torn tail (file ends mid-record, or a record fails its CRC): normal
-//     crash damage — truncate the file there, drop any later segments, and
-//     report the byte count in `truncated_bytes`; recovery still succeeds.
+//   - preallocated tail (the writer sizes each segment up front, so a
+//     segment that was not sealed or closed ends in zeros): not damage —
+//     the scan stops at the first all-zero frame when everything after it
+//     is zero too, trims the file there and reports the bytes in
+//     `preallocated_bytes`. A non-last segment may end this way (sealed
+//     before its trim was durable); the next segment must then continue
+//     the LSN sequence. A newest segment that is all zero, header included
+//     (a crash right after it was created), is removed and counted the
+//     same way.
+//   - torn tail (file ends mid-record, or a record fails its CRC, with any
+//     non-zero byte at or after it): normal crash damage — truncate the
+//     file there, drop any later segments, and report the byte count in
+//     `truncated_bytes`; recovery still succeeds.
 //   - corrupt/alien segment header, wrong shard, version or LSN
 //     discontinuity *between* segments: not crash damage — recovery fails
 //     loudly (`ok == false`) rather than silently dropping committed data.
+//
+// The scan reads the file in ~1 MiB chunks without readahead and stops at
+// the first frame past the written end; it checks the preallocated tail via
+// SEEK_DATA/SEEK_HOLE, which skips extents the filesystem reports as holes
+// (unwritten, uncached) instead of reading them.
 
 #ifndef CBTREE_WAL_RECOVERY_H_
 #define CBTREE_WAL_RECOVERY_H_
@@ -35,7 +50,11 @@ struct RecoveryResult {
   uint64_t segments = 0;    ///< segment files scanned
   uint64_t records = 0;     ///< records replayed
   uint64_t max_lsn = 0;     ///< highest replayed LSN (0: empty log)
-  uint64_t truncated_bytes = 0;  ///< torn-tail bytes removed
+  /// Torn-tail bytes removed: from the first bad frame through the last
+  /// frame holding a non-zero byte, plus any orphaned later segments.
+  uint64_t truncated_bytes = 0;
+  /// Zero preallocated-tail bytes trimmed (not damage).
+  uint64_t preallocated_bytes = 0;
 };
 
 /// Replays shard `shard`'s log under `dir` through `apply`, in LSN order.

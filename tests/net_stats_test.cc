@@ -18,6 +18,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,6 +150,61 @@ TEST(SnapshotRingTest, IntervalDeltasTelescopeToCumulativeTotals) {
 
 // ---------------------------------------------------------------------------
 // kStats admin frame over a live socket.
+
+/// The exec/s column of shard `shard`'s row in a kStats table.
+std::string ShardExecRate(const std::string& table, int shard) {
+  const std::string prefix = "s" + std::to_string(shard) + " ";
+  size_t at = table.find("\n" + prefix);
+  if (at == std::string::npos) return "";
+  std::istringstream row(table.substr(at + 1, table.find('\n', at + 1) - at));
+  std::string name, executed, keys, inflight, rate;
+  row >> name >> executed >> keys >> inflight >> rate;
+  return rate;
+}
+
+TEST(NetStatsTest, ShardRateIsNotApplicableBeforeAnInterval) {
+  // No interval ticker: there is no rate to report, and zero would claim
+  // an idle shard.
+  Server server(LoopbackOptions(Algorithm::kLinkType));
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  EXPECT_EQ(client.Insert(1, 10), Status::kInserted);
+  const std::optional<std::string> table = client.Stats(StatsFormat::kTable);
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(ShardExecRate(*table, 0), "n/a") << *table;
+  client.Close();
+  server.Shutdown();
+}
+
+#if CBTREE_OBS_ENABLED
+TEST(NetStatsTest, ShardRateIsANumberOnceAnIntervalExists) {
+  ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
+  options.stats_interval_s = 0.02;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  EXPECT_EQ(client.Insert(1, 10), Status::kInserted);
+  std::string rate = "n/a";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rate == "n/a" && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::optional<std::string> table =
+        client.Stats(StatsFormat::kTable);
+    ASSERT_TRUE(table.has_value());
+    rate = ShardExecRate(*table, 0);
+  }
+  ASSERT_FALSE(rate.empty());
+  EXPECT_NE(rate, "n/a");
+  EXPECT_GE(std::stod(rate), 0.0);
+  client.Close();
+  server.Shutdown();
+}
+#endif
 
 TEST(NetStatsTest, StatsRoundTripJsonAndTable) {
   Server server(LoopbackOptions(Algorithm::kLinkType));

@@ -247,7 +247,9 @@ TEST(OlcStressTest, MixedOpsMatchExactOracle) {
           auto found = tree.Search(key);
           auto it = oracle.find(key);
           ASSERT_EQ(found.has_value(), it != oracle.end()) << key;
-          if (found.has_value()) ASSERT_EQ(*found, it->second);
+          if (found.has_value()) {
+            ASSERT_EQ(*found, it->second);
+          }
         } else {
           Key lo = static_cast<Key>(rng.NextBounded(kKeySpan));
           std::vector<std::pair<Key, Value>> out;

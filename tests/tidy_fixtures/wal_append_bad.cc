@@ -1,4 +1,7 @@
 // Positive fixture for cbtree-wal-append.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 
 namespace cbtree {
@@ -25,6 +28,16 @@ void AppendRawFrame(int fd, const char* data, unsigned long size) {
 
 void HardenTail(int fd) {
   ::fsync(fd);  // expect-diag: cbtree-wal-append
+}
+
+// Sizing the file is write-side I/O too: a helper outside the writer-side
+// layer must not preallocate or trim the segment under the writer's feet.
+void ReserveSegment(int fd, long bytes) {
+  ::fallocate(fd, 0, 0, bytes);  // expect-diag: cbtree-wal-append
+}
+
+void TrimSegment(int fd, long bytes) {
+  ::ftruncate(fd, bytes);  // expect-diag: cbtree-wal-append
 }
 
 }  // namespace wal

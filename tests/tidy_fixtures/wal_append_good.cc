@@ -1,4 +1,7 @@
 // Negative fixture for cbtree-wal-append.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 
 namespace cbtree {
@@ -19,7 +22,10 @@ class ShardLog {
  private:
   bool SyncFd();
   bool FlushGroup(const char* data, unsigned long size);
+  bool OpenSegment(long segment_bytes);
+  bool SealSegment();
   int fd_;
+  long written_;
 };
 
 // The writer-side I/O layer owns the raw syscalls.
@@ -38,6 +44,17 @@ bool ShardLog::SyncFd() { return ::fdatasync(fd_) == 0; }
 bool ShardLog::FlushGroup(const char* data, unsigned long size) {
   if (!WriteAll(fd_, data, size)) return false;
   return SyncFd();
+}
+
+// Preallocating a fresh segment and trimming a sealed one are the writer's
+// own business.
+bool ShardLog::OpenSegment(long segment_bytes) {
+  ::fallocate(fd_, 0, 0, segment_bytes);
+  return true;
+}
+
+bool ShardLog::SealSegment() {
+  return ::ftruncate(fd_, written_) == 0 && SyncFd();
 }
 
 }  // namespace wal

@@ -132,7 +132,9 @@ TEST(WalFuzzTest, RecordDecoderNeverOverreadsOrMisclassifies) {
         // Only a strict prefix of a well-formed frame asks for more bytes;
         // a hostile length must be rejected, never buffered for.
         ASSERT_LT(wire.size(), kRecordFrameSize);
-        if (wire.size() >= 4) ASSERT_EQ(declared, kRecordPayloadSize);
+        if (wire.size() >= 4) {
+          ASSERT_EQ(declared, kRecordPayloadSize);
+        }
         break;
       case DecodeStatus::kError:
         ++error;

@@ -1,13 +1,17 @@
 // Crash-recovery scan: round-trips through ShardLog, torn-tail truncation,
-// the hard-failure taxonomy (corrupt header, wrong shard, LSN gaps), and the
+// the preallocated zero tail a SIGKILL leaves (trimmed, not torn), the
+// hard-failure taxonomy (corrupt header, wrong shard, LSN gaps), and the
 // full tree integration — log under each retention policy, recover into a
 // fresh tree, and verify state equality plus CheckInvariants.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -252,6 +256,161 @@ TEST(RecoveryTest, SegmentsAfterTornTailAreDropped) {
   EXPECT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.records, 6u);
   EXPECT_EQ(max_lsn, 6u);
+}
+
+/// Writes `count` records (insert(key=i, value=2i)) through a real ShardLog
+/// in a child process that then dies by SIGKILL: no seal, no Close, so the
+/// segment keeps its preallocated zero tail, exactly as a killed server
+/// leaves it.
+void WriteKilledLog(const std::string& dir, int count,
+                    uint64_t segment_bytes) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    WalOptions options;
+    options.dir = dir;
+    options.shard = 0;
+    options.fsync = FsyncMode::kData;
+    options.group_commit_us = 0;
+    options.segment_bytes = segment_bytes;
+    std::string error;
+    auto log = ShardLog::Open(options, &error);
+    if (log == nullptr) std::_Exit(2);
+    uint64_t last = 0;
+    for (int i = 1; i <= count; ++i) {
+      last = log->AppendInsert(static_cast<Key>(i), static_cast<Value>(2 * i));
+    }
+    log->WaitDurable(last);
+    ::kill(::getpid(), SIGKILL);
+    std::_Exit(3);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
+}
+
+/// Overwrites `bytes` at `offset` of `path`, leaving the file size alone.
+void WriteAt(const std::string& path, long offset, const std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::pwrite(fd, bytes.data(), bytes.size(), offset),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fd);
+}
+
+TEST(RecoveryTest, KilledPreallocatedSegmentReplaysEveryRecord) {
+  TempDir tmp;
+  constexpr long kSegmentBytes = 1 << 20;
+  WriteKilledLog(tmp.path(), 100, kSegmentBytes);
+  const std::string segment = FirstSegmentPath(tmp.path());
+  ASSERT_EQ(FileSize(segment), kSegmentBytes) << "left preallocated";
+  const long written = static_cast<long>(kSegmentHeaderSize) +
+                       100 * static_cast<long>(kRecordFrameSize);
+
+  uint64_t expected_lsn = 1;
+  RecoveryResult result =
+      RecoverShard(tmp.path(), 0, [&](const WalRecord& record) {
+        EXPECT_EQ(record.lsn, expected_lsn++);
+        EXPECT_EQ(record.value, static_cast<Value>(2 * record.lsn));
+      });
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.records, 100u);
+  EXPECT_EQ(result.max_lsn, 100u);
+  EXPECT_EQ(result.truncated_bytes, 0u) << "a zero tail is not torn";
+  EXPECT_EQ(result.preallocated_bytes,
+            static_cast<uint64_t>(kSegmentBytes - written));
+  // Trimmed in place, so a second recovery finds nothing to trim.
+  EXPECT_EQ(FileSize(segment), written);
+  RecoveryResult again = RecoverShard(tmp.path(), 0, [](const WalRecord&) {});
+  EXPECT_TRUE(again.ok);
+  EXPECT_EQ(again.records, 100u);
+  EXPECT_EQ(again.preallocated_bytes, 0u);
+}
+
+TEST(RecoveryTest, TornRecordBeforeTheZeroTailCountsAsTorn) {
+  TempDir tmp;
+  constexpr long kSegmentBytes = 1 << 20;
+  WriteKilledLog(tmp.path(), 10, kSegmentBytes);
+  const std::string segment = FirstSegmentPath(tmp.path());
+  const long written = static_cast<long>(kSegmentHeaderSize) +
+                       10 * static_cast<long>(kRecordFrameSize);
+  // Half of record 11 reached the preallocated area before the crash.
+  std::string torn;
+  AppendRecord(WalRecord{RecordType::kInsert, 11, 999, 999}, &torn);
+  torn.resize(kRecordFrameSize / 2);
+  WriteAt(segment, written, torn);
+
+  RecoveryResult result = RecoverShard(tmp.path(), 0, [](const WalRecord&) {});
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.records, 10u);
+  EXPECT_EQ(result.truncated_bytes, kRecordFrameSize)
+      << "the frame holding the torn bytes is torn";
+  EXPECT_EQ(result.preallocated_bytes,
+            static_cast<uint64_t>(kSegmentBytes - written) - kRecordFrameSize);
+  EXPECT_EQ(FileSize(segment), written);
+}
+
+TEST(RecoveryTest, ZeroFrameWithDataBehindItIsTorn) {
+  TempDir tmp;
+  constexpr long kSegmentBytes = 1 << 20;
+  WriteKilledLog(tmp.path(), 10, kSegmentBytes);
+  const std::string segment = FirstSegmentPath(tmp.path());
+  const long written = static_cast<long>(kSegmentHeaderSize) +
+                       10 * static_cast<long>(kRecordFrameSize);
+  // A later page of the crashed group landed, an earlier one did not: the
+  // first bad frame is all zero, but the remainder is not.
+  std::string stray;
+  AppendRecord(WalRecord{RecordType::kInsert, 13, 7, 7}, &stray);
+  WriteAt(segment, written + 2 * static_cast<long>(kRecordFrameSize), stray);
+
+  RecoveryResult result = RecoverShard(tmp.path(), 0, [](const WalRecord&) {});
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.records, 10u);
+  EXPECT_EQ(result.truncated_bytes, 3 * kRecordFrameSize);
+  EXPECT_EQ(FileSize(segment), written) << "stale bytes must not resurface";
+}
+
+TEST(RecoveryTest, ZeroTailedSealedSegmentKeepsItsSuccessors) {
+  TempDir tmp;
+  WriteCleanLog(tmp.path(), 20, 6 * kRecordFrameSize);
+  // The first segment was sealed, but its trim never reached the disk: it
+  // still ends in zeros, and the second segment continues at LSN 6.
+  const std::string first = FirstSegmentPath(tmp.path());
+  const long sealed = FileSize(first);
+  ASSERT_EQ(::truncate(first.c_str(), 4096), 0);
+
+  uint64_t count = 0;
+  RecoveryResult result =
+      RecoverShard(tmp.path(), 0, [&](const WalRecord&) { ++count; });
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.records, 20u) << "later segments must not be dropped";
+  EXPECT_EQ(count, 20u);
+  EXPECT_EQ(result.max_lsn, 20u);
+  EXPECT_EQ(result.truncated_bytes, 0u);
+  EXPECT_EQ(result.preallocated_bytes, static_cast<uint64_t>(4096 - sealed));
+  EXPECT_EQ(FileSize(first), sealed);
+  EXPECT_GT(FileSize(tmp.path() + "/" + SegmentFileName(16)), 0)
+      << "the last segment is still there";
+}
+
+TEST(RecoveryTest, AllZeroNewestSegmentIsRemoved) {
+  TempDir tmp;
+  WriteCleanLog(tmp.path(), 10);
+  // A crash right after the next segment was created and preallocated,
+  // before its header reached the disk.
+  const std::string newest = tmp.path() + "/" + SegmentFileName(11);
+  {
+    std::FILE* f = std::fopen(newest.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+  }
+  ASSERT_EQ(::truncate(newest.c_str(), 8192), 0);
+  RecoveryResult result = RecoverShard(tmp.path(), 0, [](const WalRecord&) {});
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.records, 10u);
+  EXPECT_EQ(result.truncated_bytes, 0u);
+  EXPECT_EQ(result.preallocated_bytes, 8192u);
+  EXPECT_EQ(FileSize(newest), -1) << "removed, so the next writer reuses it";
 }
 
 /// WalBinding over a real ShardLog, as the server wires it.

@@ -1,16 +1,22 @@
 // WAL format and group-commit log writer: encode/decode round-trips, CRC
 // rejection, segment naming, and the ShardLog durability contract (dense
 // LSNs, WaitDurable watermark, WhenDurable callbacks released by the
-// writer, group coalescing, rotation, all three fsync modes, idempotent
-// Close).
+// writer, group coalescing with the window counted from a group's first
+// append, rotation, preallocated segments trimmed on seal/Close, all three
+// fsync modes, idempotent Close), plus write-side fault injection through
+// the WalSyscalls seam (short writes, EINTR, fallocate failure, EIO).
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,6 +25,7 @@
 
 #include "obs/registry.h"
 #include "wal/log_writer.h"
+#include "wal/recovery.h"
 #include "wal/wal_format.h"
 
 namespace cbtree {
@@ -189,6 +196,32 @@ TEST(WalFormatTest, SegmentFileNames) {
   EXPECT_FALSE(ParseSegmentFileName("wal-00000000000000000001.tmp", &lsn));
   EXPECT_FALSE(ParseSegmentFileName("00000000000000000001.seg", &lsn));
   EXPECT_FALSE(ParseSegmentFileName("", &lsn));
+}
+
+long FileSize(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return -1;
+  return static_cast<long>(st.st_size);
+}
+
+/// Sizes of every segment file under `dir`.
+std::vector<long> SegmentSizes(const std::string& dir) {
+  std::vector<long> sizes;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return sizes;
+  while (dirent* entry = ::readdir(d)) {
+    uint64_t start_lsn = 0;
+    if (ParseSegmentFileName(entry->d_name, &start_lsn)) {
+      sizes.push_back(FileSize(dir + "/" + entry->d_name));
+    }
+  }
+  ::closedir(d);
+  return sizes;
+}
+
+/// Recovers `dir` (shard 0), counting replayed records.
+RecoveryResult Recover(const std::string& dir) {
+  return RecoverShard(dir, 0, [](const WalRecord&) {});
 }
 
 WalOptions TestOptions(const std::string& dir, FsyncMode mode) {
@@ -480,6 +513,199 @@ TEST(ShardLogTest, WhenDurableRegistrantsRaceTheWriter) {
   EXPECT_EQ(early.load(), 0);
   EXPECT_GE(log->DurableLsn(),
             static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+// The coalescing window runs from a group's first append, not from when
+// the writer gets to it: a record appended while the writer is busy
+// releasing the previous group waits one window in total, not the rest of
+// the release plus a whole window.
+TEST(ShardLogTest, WindowStartsAtTheGroupsFirstAppend) {
+  TempDir tmp;
+  std::string error;
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kOff);
+  options.group_commit_us = 100000;
+  auto log = ShardLog::Open(options, &error);
+  ASSERT_NE(log, nullptr) << error;
+
+  std::atomic<bool> releasing{false};
+  log->WhenDurable(log->AppendInsert(1, 1), [&] {
+    releasing.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!releasing.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(releasing.load(std::memory_order_acquire));
+
+  // The writer is inside the 60 ms callback: this record opens the next
+  // group while nobody is watching the clock for it.
+  const auto appended = std::chrono::steady_clock::now();
+  const uint64_t second = log->AppendInsert(2, 2);
+  log->WaitDurable(second);
+  const auto waited = std::chrono::steady_clock::now() - appended;
+  EXPECT_GE(waited, std::chrono::milliseconds(100))
+      << "a lone record still waits out its whole window";
+  // Counted from the writer's wake-up it would be ~160 ms.
+  EXPECT_LT(waited, std::chrono::milliseconds(140))
+      << "the window must start at the group's first append";
+  log->Close();
+}
+
+TEST(ShardLogTest, SegmentsArePreallocatedAndTrimmedWhenSealed) {
+  TempDir tmp;
+  std::string error;
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kData);
+  options.segment_bytes = 1 << 20;
+  auto log = ShardLog::Open(options, &error);
+  ASSERT_NE(log, nullptr) << error;
+  uint64_t last = 0;
+  for (int i = 0; i < 10; ++i) last = log->AppendInsert(i, i);
+  log->WaitDurable(last);
+  const std::string segment = tmp.path() + "/" + SegmentFileName(1);
+  // Open sized the file up front: appends land inside it.
+  EXPECT_EQ(FileSize(segment), 1 << 20);
+  log->Close();
+  // A clean Close leaves exactly what was written, no zero tail.
+  EXPECT_EQ(FileSize(segment),
+            static_cast<long>(kSegmentHeaderSize + 10 * kRecordFrameSize));
+  const RecoveryResult recovered = Recover(tmp.path());
+  EXPECT_TRUE(recovered.ok) << recovered.error;
+  EXPECT_EQ(recovered.records, 10u);
+  EXPECT_EQ(recovered.truncated_bytes, 0u);
+  EXPECT_EQ(recovered.preallocated_bytes, 0u);
+}
+
+TEST(ShardLogTest, RotationSealsEverySegmentAtItsWrittenLength) {
+  TempDir tmp;
+  std::string error;
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kOff);
+  options.segment_bytes = 4096;
+  auto log = ShardLog::Open(options, &error);
+  ASSERT_NE(log, nullptr) << error;
+  constexpr int kRecords = 1000;
+  for (int i = 0; i < kRecords; ++i) log->AppendInsert(i, i);
+  log->Close();
+  const std::vector<long> sizes = SegmentSizes(tmp.path());
+  ASSERT_GT(sizes.size(), 5u);
+  long record_bytes = 0;
+  for (long size : sizes) {
+    EXPECT_LE(size, 4096);
+    EXPECT_EQ((size - static_cast<long>(kSegmentHeaderSize)) %
+                  static_cast<long>(kRecordFrameSize),
+              0);
+    record_bytes += size - static_cast<long>(kSegmentHeaderSize);
+  }
+  EXPECT_EQ(record_bytes, kRecords * static_cast<long>(kRecordFrameSize))
+      << "sealed segments hold their records and nothing else";
+}
+
+// Write-side fault injection: every syscall the writer makes goes through
+// WalSyscalls, so a test can make it fail the way a real disk or kernel
+// does.
+
+TEST(ShardLogFaultTest, ShortWritesAndEintrAreRetriedToCompletion) {
+  TempDir tmp;
+  std::string error;
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kData);
+  options.segment_bytes = 4096;  // rotations, so headers go through it too
+  std::atomic<int> calls{0};
+  std::atomic<int> interrupted{0};
+  std::atomic<int> short_writes{0};
+  options.syscalls.write = [&](int fd, const void* data,
+                               size_t size) -> ssize_t {
+    if (calls.fetch_add(1) % 3 == 0) {
+      interrupted.fetch_add(1);
+      errno = EINTR;
+      return -1;
+    }
+    // Never more than 7 bytes at a time: every record and header is split.
+    const size_t n = std::min<size_t>(size, 7);
+    if (n < size) short_writes.fetch_add(1);
+    return ::write(fd, data, n);
+  };
+  auto log = ShardLog::Open(options, &error);
+  ASSERT_NE(log, nullptr) << error;
+  constexpr int kRecords = 300;
+  uint64_t last = 0;
+  for (int i = 1; i <= kRecords; ++i) last = log->AppendInsert(i, 2 * i);
+  log->WaitDurable(last);
+  log->Close();
+  EXPECT_GT(interrupted.load(), 0);
+  EXPECT_GT(short_writes.load(), 0);
+
+  uint64_t expected_lsn = 1;
+  const RecoveryResult recovered =
+      RecoverShard(tmp.path(), 0, [&](const WalRecord& record) {
+        EXPECT_EQ(record.lsn, expected_lsn++);
+        EXPECT_EQ(record.key, static_cast<Key>(record.lsn));
+        EXPECT_EQ(record.value, static_cast<Value>(2 * record.lsn));
+      });
+  EXPECT_TRUE(recovered.ok) << recovered.error;
+  EXPECT_EQ(recovered.records, static_cast<uint64_t>(kRecords));
+  EXPECT_EQ(recovered.truncated_bytes, 0u);
+}
+
+TEST(ShardLogFaultTest, FallocateFailureFallsBackToGrowth) {
+  for (const int failure : {EOPNOTSUPP, ENOSPC}) {
+    TempDir tmp;
+    std::string error;
+    WalOptions options = TestOptions(tmp.path(), FsyncMode::kData);
+    options.segment_bytes = 4096;
+    std::atomic<int> refused{0};
+    options.syscalls.fallocate = [&](int, off_t) {
+      refused.fetch_add(1);
+      errno = failure;
+      return -1;
+    };
+    auto log = ShardLog::Open(options, &error);
+    ASSERT_NE(log, nullptr) << error;
+    uint64_t last = 0;
+    for (int i = 0; i < 10; ++i) last = log->AppendInsert(i, i);
+    log->WaitDurable(last);
+    // Not preallocated: the open segment is exactly as long as its writes.
+    EXPECT_EQ(FileSize(tmp.path() + "/" + SegmentFileName(1)),
+              static_cast<long>(kSegmentHeaderSize + 10 * kRecordFrameSize));
+    constexpr int kRecords = 500;  // spans many segments
+    for (int i = 10; i < kRecords; ++i) last = log->AppendInsert(i, i);
+    log->WaitDurable(last);
+    log->Close();
+    EXPECT_GT(refused.load(), 1) << "every segment asks for preallocation";
+
+    const RecoveryResult recovered = Recover(tmp.path());
+    EXPECT_TRUE(recovered.ok) << recovered.error;
+    EXPECT_EQ(recovered.records, static_cast<uint64_t>(kRecords));
+    EXPECT_EQ(recovered.max_lsn, static_cast<uint64_t>(kRecords));
+    EXPECT_EQ(recovered.truncated_bytes, 0u);
+    EXPECT_EQ(recovered.preallocated_bytes, 0u);
+  }
+}
+
+// A failed barrier cannot be acknowledged: the writer aborts the process
+// before it advances the watermark, so no parked callback (no ack) runs.
+// The callback would exit with status 3 instead of dying by SIGABRT.
+TEST(ShardLogFaultDeathTest, FailedBarrierAbortsBeforeAnyRelease) {
+  TempDir tmp;
+  WalOptions options = TestOptions(tmp.path(), FsyncMode::kData);
+  // Long enough that the callback is parked before the group is flushed.
+  options.group_commit_us = 100000;
+  options.syscalls.sync = [](int) {
+    errno = EIO;
+    return -1;
+  };
+  EXPECT_EXIT(
+      {
+        std::string error;
+        auto log = ShardLog::Open(options, &error);
+        if (log == nullptr) std::_Exit(2);
+        const uint64_t lsn = log->AppendInsert(1, 1);
+        log->WhenDurable(lsn, [] { std::_Exit(3); });
+        log->WaitDurable(lsn);
+        std::_Exit(4);
+      },
+      ::testing::KilledBySignal(SIGABRT), "group flush failed");
 }
 
 TEST(ShardLogTest, OpenFailsOnUnwritableDirectory) {

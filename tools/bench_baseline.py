@@ -58,12 +58,14 @@ QUICK_OVERRIDES = {"lambda": 800.0, "duration": "1s"}
 # retention variants are EXPERIMENTS.md material, not baseline material.
 #
 # Its lambda is raised until groups can form. The drive mix is 30/50/20, so
-# ~70% of requests are writes, split over 2 shards; a group collects the
-# writes that arrive during one ~400 us window (200 us coalescing plus a
-# ~200 us fdatasync). Writes per group ~= lambda * 0.7 / 2 * 400e-6, so
-# >= 2 per group needs lambda >= 2 * 2 / (0.7 * 400e-6) ~= 14.3k/s. The
-# committed run at 20k/s measured 2.9 appends per fsync over the serving
-# window.
+# ~70% of requests are writes, split over 2 shards. The 200 us coalescing
+# window counts from the append that opens a group, and the previous
+# group's fdatasync and ack release overlap it, so one group-commit cycle
+# is ~= max(window, barrier + release), not window + barrier. A group is
+# its opening write plus the writes that arrive in its window: writes per
+# group ~= 1 + lambda * 0.7 / 2 * 200e-6, so >= 2 per group needs
+# lambda >= 2 / (0.7 * 200e-6) ~= 14.3k/s (2.4 at 20k/s). The committed
+# run at 20k/s measured 2.6 appends per fsync over the serving window.
 WAL_OVERLAY = {"wal": True, "fsync": "data", "group_commit_us": 200,
                "recovery": "none", "lambda": 20000.0}
 

@@ -49,6 +49,7 @@
 #include "core/optimistic_model.h"
 #include "core/rules_of_thumb.h"
 #include "ctree/ctree.h"
+#include "ctree/olc_tree.h"
 #include "net/client.h"
 #include "net/driver.h"
 #include "net/server.h"
@@ -201,9 +202,12 @@ struct CommonOptions {
                     "off | data (fdatasync) | full (fsync)");
     flags->Register("group_commit_us", &group_commit_us,
                     "serve WAL group-commit coalescing window in "
-                    "microseconds");
+                    "microseconds: the longest a record waits for company "
+                    "before its group is cut (counted from the group's "
+                    "first append)");
     flags->Register("wal_segment_bytes", &wal_segment_bytes,
-                    "serve WAL segment rotation size in bytes");
+                    "serve WAL segment rotation size in bytes (each "
+                    "segment is preallocated to this size)");
   }
 
   /// Algorithm for the real-tree subcommands (serve/drive/stress):
@@ -543,10 +547,22 @@ void AppendLatchLevelsJson(std::string* out, const CTreeStats& stats) {
 }
 
 /// Per-level latch-contention table, shared by `stress` and `serve` final
-/// reports (root at the top, like the model's level tables).
-void PrintLatchTable(const CTreeStats& stats, bool csv) {
+/// reports (root at the top, like the model's level tables). The OLC tree
+/// takes no latches, so it reports its version-check restarts instead.
+void PrintLatchTable(const ConcurrentBTree& tree, bool csv) {
+  const CTreeStats stats = tree.stats();
+  if (dynamic_cast<const OlcTree*>(&tree) != nullptr) {
+    std::printf("  (no latches: olc readers validate node versions; "
+                "olc.restarts %" PRIu64 ")\n",
+                stats.restarts);
+    return;
+  }
   if (stats.latch_levels.empty()) {
-    std::printf("  (latch telemetry disabled: built with CBTREE_OBS=OFF)\n");
+    std::fputs(CBTREE_OBS_ENABLED
+                   ? "  (no latch acquisitions recorded)\n"
+                   : "  (latch telemetry disabled: built with "
+                     "CBTREE_OBS=OFF)\n",
+               stdout);
     return;
   }
   Table table({"level", "S_acq", "S_contended", "S_p99_wait_us", "X_acq",
@@ -698,7 +714,7 @@ int CmdStress(const CommonOptions& options) {
       tree->size(), interrupted ? "  [interrupted: drained early]" : "",
       stats.splits, stats.root_splits, stats.restarts,
       stats.link_crossings);
-  PrintLatchTable(stats, options.csv);
+  PrintLatchTable(*tree, options.csv);
   return 0;
 }
 
@@ -853,7 +869,7 @@ int CmdServe(const CommonOptions& options) {
   // Latch telemetry per shard (each shard is its own tree).
   for (int s = 0; s < server.num_shards(); ++s) {
     if (server.num_shards() > 1) std::printf("shard %d latches:\n", s);
-    PrintLatchTable(server.tree(s)->stats(), options.csv);
+    PrintLatchTable(*server.tree(s), options.csv);
   }
   // Accounting invariant: every well-formed frame got exactly one answer.
   // The per-loop and per-shard breakdowns must also sum back to the

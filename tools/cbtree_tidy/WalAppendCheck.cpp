@@ -17,8 +17,8 @@ namespace {
 bool isWriterSide(const FunctionDecl *FD) {
   StringRef Name = FD->getName();
   return Name == "WriteAll" || Name == "FlushGroup" ||
-         Name == "OpenSegment" || Name == "SyncFd" || Name == "WriterLoop" ||
-         Name == "Open" || Name == "Close";
+         Name == "OpenSegment" || Name == "SealSegment" || Name == "SyncFd" ||
+         Name == "WriterLoop" || Name == "Open" || Name == "Close";
 }
 
 // True when the function lives inside `namespace wal` or the ShardLog
@@ -44,13 +44,16 @@ bool inWalLayer(const FunctionDecl *FD) {
 } // namespace
 
 void WalAppendCheck::registerMatchers(MatchFinder *Finder) {
-  // Raw write-side file syscalls. Member calls named `write` on some other
+  // Raw write-side file syscalls, including those that size the file
+  // (preallocation and trimming). Member calls named `write` on some other
   // abstraction are not the syscall and are excluded. Read-side and
-  // crash-repair I/O (fread, truncate, unlink) stay unconstrained.
+  // crash-repair I/O (fread, pread, path-based truncate, unlink) stay
+  // unconstrained.
   Finder->addMatcher(
       callExpr(callee(functionDecl(hasAnyName(
                    "write", "pwrite", "writev", "pwritev", "fwrite", "fsync",
-                   "fdatasync", "sync_file_range"))),
+                   "fdatasync", "sync_file_range", "fallocate",
+                   "posix_fallocate", "ftruncate"))),
                unless(callee(cxxMethodDecl())),
                forFunction(functionDecl(hasBody(compoundStmt())).bind("fn")))
           .bind("raw-io"),
@@ -99,8 +102,8 @@ void WalAppendCheck::onEndOfTranslationUnit() {
       else if (InWal)
         diag(Call.Loc,
              "raw '%0' in the WAL outside the writer-side I/O layer "
-             "(WriteAll/FlushGroup/OpenSegment/SyncFd); appenders go through "
-             "Append*/WaitDurable/WhenDurable")
+             "(WriteAll/FlushGroup/OpenSegment/SealSegment/SyncFd); appenders "
+             "go through Append*/WaitDurable/WhenDurable")
             << Call.Callee;
     }
   }

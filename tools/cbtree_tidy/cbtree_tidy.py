@@ -46,8 +46,8 @@ Checks (see docs/STATIC_ANALYSIS.md, "Project-specific checks"):
                            (write/pwrite/fwrite/fsync/fdatasync/...); inside
                            the wal namespace itself, those syscalls are
                            confined to the writer-side I/O layer
-                           (WriteAll/FlushGroup/OpenSegment/SyncFd/
-                           WriterLoop/Open/Close).
+                           (WriteAll/FlushGroup/OpenSegment/SealSegment/
+                           SyncFd/WriterLoop/Open/Close).
 
 Diagnostics print in clang-tidy's format:
 
@@ -96,8 +96,8 @@ NODE_ALLOCATORS = {"AllocateNode", "Allocate"}
 # log-writer thread, plus Open/Close) allowed to issue raw write-side
 # syscalls against the log.
 WAL_WRITER_SIDE = {
-    "WriteAll", "FlushGroup", "OpenSegment", "SyncFd", "WriterLoop",
-    "Open", "Close",
+    "WriteAll", "FlushGroup", "OpenSegment", "SealSegment", "SyncFd",
+    "WriterLoop", "Open", "Close",
 }
 # The group-commit API: a function calling any of these is on a logged
 # mutation path and must not also write files by hand.
@@ -106,10 +106,13 @@ WAL_APPEND_API = (
     "LogInsert", "LogDelete", "WalLogInsert", "WalLogDelete",
     "WalWaitDurable",
 )
-# Raw write-side file syscalls. Read-side and crash-repair I/O (fread,
-# truncate, unlink) are recovery's business and stay unconstrained.
+# Raw write-side file syscalls, including those that size the file
+# (preallocation and trimming). Read-side and crash-repair I/O (fread,
+# pread, path-based truncate, unlink) are recovery's business and stay
+# unconstrained.
 WAL_RAW_IO = ("write", "pwrite", "writev", "pwritev", "fwrite",
-              "fsync", "fdatasync", "sync_file_range")
+              "fsync", "fdatasync", "sync_file_range",
+              "fallocate", "posix_fallocate", "ftruncate")
 # Functions exempt from the epoch-guard rule by their own name: the retire
 # machinery itself (EpochManager::Retire/RetireObject).
 RETIRE_SELF = {"Retire", "RetireObject"}
@@ -737,8 +740,9 @@ def check_wal_append(src, diags):
                 diags.append(Diagnostic(
                     src.path, line, col,
                     "raw '%s' in the WAL outside the writer-side I/O layer "
-                    "(WriteAll/FlushGroup/OpenSegment/SyncFd); appenders go "
-                    "through Append*/WaitDurable/WhenDurable" % m.group(2),
+                    "(WriteAll/FlushGroup/OpenSegment/SealSegment/SyncFd); "
+                    "appenders go through Append*/WaitDurable/WhenDurable"
+                    % m.group(2),
                     "cbtree-wal-append"))
 
 
