@@ -217,9 +217,6 @@ struct Server::Shard {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       obs_(RegistryCellCapacity(std::max(1, options_.shards))) {
-  obs_requests_ = obs_.counter("net.requests");
-  obs_rejected_ = obs_.counter("net.rejected");
-  obs_bad_frames_ = obs_.counter("net.bad_frames");
   obs_batches_ = obs_.counter("net.batches");
   obs_batched_requests_ = obs_.counter("net.batched_requests");
   obs_service_ns_ = obs_.timer("net.service_ns");
@@ -1180,7 +1177,6 @@ bool Server::DrainReadBuffer(const std::shared_ptr<Conn>& conn) {
     if (status == DecodeStatus::kError) {
       FlushBatch(conn, &batch);  // the well-formed prefix still executes
       bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      obs_bad_frames_.Add();
       Response response;
       response.status = Status::kBadFrame;
       response.id = 0;
@@ -1213,7 +1209,6 @@ void Server::Admit(const std::shared_ptr<Conn>& conn, const Request& request,
                    Batch* batch) {
   requests_received_.fetch_add(1, std::memory_order_relaxed);
   conn->loop->requests_received.fetch_add(1, std::memory_order_relaxed);
-  obs_requests_.Add();
   if (draining_.load(std::memory_order_acquire)) {
     shutdown_rejected_.fetch_add(1, std::memory_order_relaxed);
     TraceRequest(obs::TraceEventKind::kReject, request, 0.0);
@@ -1229,7 +1224,6 @@ void Server::Admit(const std::shared_ptr<Conn>& conn, const Request& request,
   for (;;) {
     if (current >= options_.max_inflight) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      obs_rejected_.Add();
       TraceRequest(obs::TraceEventKind::kReject, request, 0.0);
       Response response;
       response.status = Status::kRejected;

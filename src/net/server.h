@@ -468,9 +468,6 @@ class Server {
   std::atomic<uint64_t> trace_sample_seq_{0};
 
   obs::Registry obs_;
-  obs::Counter obs_requests_;
-  obs::Counter obs_rejected_;
-  obs::Counter obs_bad_frames_;
   obs::Counter obs_batches_;
   obs::Counter obs_batched_requests_;
   obs::Timer obs_service_ns_;  ///< tree operation only

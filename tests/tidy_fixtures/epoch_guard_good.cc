@@ -11,6 +11,14 @@ struct OlcNode {
 };
 
 class EpochManager;
+struct Stats {
+  int count;
+};
+Stats* GetStats();
+template <typename F>
+void Defer(F fn);
+// A function returning a guard is not a namespace-scope guard.
+EpochGuard PinFor(EpochManager* mgr);
 
 // A live guard before the first node access: fine.
 int ReadFirstKey(EpochManager* mgr, OlcNode* node) {
@@ -37,6 +45,25 @@ void RetireGuarded(EpochManager* mgr, OlcNode* node) {
 // Functions that never touch a node may use EpochGuard freely.
 void PinBriefly(EpochManager* mgr) {
   EpochGuard guard(mgr);
+}
+
+// A pointer from a function that does not return a node is not a node.
+int StatsCount() {
+  auto* s = GetStats();
+  return s->count;
+}
+
+// A container's count() is a method call, not the node field.
+bool Seen(const std::set<OlcNode*>& seen, OlcNode* node) {
+  return seen.count(node) > 0;
+}
+
+// A lambda that takes its own guard.
+void ReadInGuardedLambda(EpochManager* mgr, OlcNode* node) {
+  Defer([mgr, node] {
+    EpochGuard guard(mgr);
+    return node->keys[0];
+  });
 }
 
 // A NOLINT escape must be honored.

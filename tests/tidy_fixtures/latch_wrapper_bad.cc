@@ -31,4 +31,27 @@ void AdapterOverLatch(CNode* node) {
   ++node->count;
 }
 
+// Template arguments deduced, braces instead of parentheses, and a node
+// computed inline: the same adapter each time.
+void DeducedAdapter(CNode* node) {
+  std::unique_lock guard(node->latch);  // expect-diag: cbtree-latch-wrapper
+}
+
+void BracedAdapter(CNode* node) {
+  std::lock_guard<std::shared_mutex> guard{node->latch};  // expect-diag: cbtree-latch-wrapper
+}
+
+CNode* ChildOf(CNode* node);
+void AdapterOverComputedNode(CNode* node) {
+  std::shared_lock<std::shared_mutex> guard(ChildOf(node)->latch);  // expect-diag: cbtree-latch-wrapper
+}
+
+// A node method reaching its own latch (implicit this).
+struct SelfLockingNode {
+  std::shared_mutex latch;
+  void LockSelf() {
+    latch.lock();  // expect-diag: cbtree-latch-wrapper
+  }
+};
+
 }  // namespace cbtree

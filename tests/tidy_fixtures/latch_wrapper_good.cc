@@ -44,6 +44,20 @@ int ReadCount(const CNode* node) {
   return count;
 }
 
+// Adapters over some other mutex are not a latch bypass.
+std::mutex latch_stats_mu;
+void LockStats() {
+  std::lock_guard<std::mutex> guard(latch_stats_mu);
+  std::unique_lock deduced(latch_stats_mu);
+}
+
+// A local mutex that happens to be called `latch` is no node's latch.
+void LocalLatch() {
+  std::mutex latch;
+  latch.lock();
+  latch.unlock();
+}
+
 // A TSA annotation naming the latch is not a member call and must not match.
 void AnnotatedOnly(const CNode& node);
 // (in the real tree: CBTREE_REQUIRES_SHARED(node.latch) on declarations)

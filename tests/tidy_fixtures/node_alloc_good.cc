@@ -29,6 +29,15 @@ void Tree::FreeRetired(OlcNode* node) CBTREE_EPOCH_QUIESCENT {
   delete node;
 }
 
+// Deleting something that is not a node is none of this check's business.
+struct Scratch {};
+Scratch* TakeScratch();
+void FreeScratch(OlcNode* node) {
+  auto* scratch = TakeScratch();
+  delete scratch;
+  delete static_cast<Scratch*>(nullptr);
+}
+
 // Destructors tear down quiescent trees.
 Tree::~Tree() {
   OlcNode* node = root_;

@@ -21,4 +21,12 @@ void CountSomething(obs::Counter* counter) {
   counter->Add();
 }
 
+// Some other library's internal namespace is not obs::internal.
+namespace codec {
+namespace internal {
+int Crc();
+}  // namespace internal
+int Checksum() { return internal::Crc(); }
+}  // namespace codec
+
 }  // namespace cbtree

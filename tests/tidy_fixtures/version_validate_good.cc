@@ -9,6 +9,9 @@ bool Validate(const OlcNode* node, uint64_t version);
 bool UpgradeLockOrRestart(OlcNode* node, uint64_t version);
 int KeyAt(const OlcNode* node, int index);
 const OlcNode* ChildAt(const OlcNode* node, int index);
+struct Tree {
+  bool Validate(const OlcNode* node, uint64_t version);
+};
 
 // Stamp taken, data read, stamp validated, result consumed: the canonical
 // optimistic read.
@@ -43,6 +46,21 @@ bool DescendHandsOff(const OlcNode* node, int* out) {
   }
   *out = KeyAt(node, 0);
   return Validate(node, v);
+}
+
+// A stamp on a computed node, consumed through a member Validate.
+bool ReadChildValidated(Tree* tree, const OlcNode* node, int* out) {
+  uint64_t cv = 0;
+  if (!ReadLockOrRestart(ChildAt(node, 0), &cv)) return false;
+  *out = KeyAt(node, 0);
+  if (!tree->Validate(ChildAt(node, 0), cv)) return false;
+  return true;
+}
+
+// A local atomic that happens to be called `version` is no node's word.
+void BumpLocalCounter() {
+  std::atomic<uint64_t> version{0};
+  version.fetch_add(1);
 }
 
 }  // namespace cbtree

@@ -19,6 +19,10 @@ class ShardLog {
   void WhenDurable(unsigned long lsn, void (*callback)());
 };
 
+void RepairByHand(int fd);
+template <typename F>
+void Defer(F fn);
+
 // Inside the wal namespace, raw write-side syscalls belong to the
 // writer-side I/O layer only; an appender-side helper must not write the
 // file by hand.
@@ -40,7 +44,20 @@ void TrimSegment(int fd, long bytes) {
   ::ftruncate(fd, bytes);  // expect-diag: cbtree-wal-append
 }
 
+// A lambda inside the writer-side layer is not writer-side code: it runs
+// wherever, and whenever, it is called.
+void WriterLoop(int fd) {
+  Defer([fd] {
+    ::fdatasync(fd);  // expect-diag: cbtree-wal-append
+  });
+}
+
 }  // namespace wal
+
+// A definition qualified into the wal namespace is inside the WAL layer.
+void wal::RepairByHand(int fd) {
+  ::fsync(fd);  // expect-diag: cbtree-wal-append
+}
 
 // A logged mutation path: it commits through the group-commit API, so a
 // raw syscall beside it is a second, unaccounted durability channel.

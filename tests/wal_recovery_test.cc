@@ -1,8 +1,9 @@
 // Crash-recovery scan: round-trips through ShardLog, torn-tail truncation,
 // the preallocated zero tail a SIGKILL leaves (trimmed, not torn), the
-// hard-failure taxonomy (corrupt header, wrong shard, LSN gaps), and the
-// full tree integration — log under each retention policy, recover into a
-// fresh tree, and verify state equality plus CheckInvariants.
+// hard-failure taxonomy (corrupt header, wrong shard, LSN gaps), a restart
+// after a failed (EIO) barrier aborted the writer, and the full tree
+// integration — log under each retention policy, recover into a fresh tree,
+// and verify state equality plus CheckInvariants.
 
 #include <gtest/gtest.h>
 
@@ -411,6 +412,94 @@ TEST(RecoveryTest, AllZeroNewestSegmentIsRemoved) {
   EXPECT_EQ(result.truncated_bytes, 0u);
   EXPECT_EQ(result.preallocated_bytes, 8192u);
   EXPECT_EQ(FileSize(newest), -1) << "removed, so the next writer reuses it";
+}
+
+TEST(RecoveryTest, RestartAfterEioReplaysEverythingTheLastGoodBarrierCovered) {
+  // A child process logs batches through a real ShardLog whose barrier
+  // succeeds kGoodBarriers times and then fails with EIO, so the writer
+  // aborts. Each good barrier first reports the last LSN it covers: the
+  // segment's file offset after the group's write counts the frames
+  // before it (one segment, so no rotation adds a barrier).
+  TempDir tmp;
+  constexpr int kGoodBarriers = 3;
+  constexpr int kBatch = 40;
+  int report[2];
+  ASSERT_EQ(::pipe(report), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(report[0]);
+    ::alarm(60);  // a writer that never aborts fails the test, not hangs it
+    WalOptions options;
+    options.dir = tmp.path();
+    options.shard = 0;
+    options.fsync = FsyncMode::kData;
+    options.group_commit_us = 0;
+    options.segment_bytes = 1 << 20;
+    int barriers = 0;
+    const int report_fd = report[1];
+    options.syscalls.sync = [&barriers, report_fd](int fd) {
+      if (++barriers > kGoodBarriers) {
+        errno = EIO;
+        return -1;
+      }
+      if (::fdatasync(fd) != 0) return -1;
+      const uint64_t covered =
+          (static_cast<uint64_t>(::lseek(fd, 0, SEEK_CUR)) -
+           kSegmentHeaderSize) /
+          kRecordFrameSize;
+      if (::write(report_fd, &covered, sizeof(covered)) !=
+          static_cast<ssize_t>(sizeof(covered))) {
+        std::_Exit(4);
+      }
+      return 0;
+    };
+    std::string error;
+    auto log = ShardLog::Open(options, &error);
+    if (log == nullptr) std::_Exit(2);
+    Key key = 0;
+    for (;;) {  // until the failed barrier aborts the writer
+      uint64_t last = 0;
+      for (int i = 0; i < kBatch; ++i) {
+        ++key;
+        last = log->AppendInsert(key, 2 * key);
+      }
+      log->WaitDurable(last);
+    }
+  }
+  ::close(report[1]);
+  uint64_t covered = 0;
+  int good = 0;
+  uint64_t reported = 0;
+  while (::read(report[0], &reported, sizeof(reported)) ==
+         static_cast<ssize_t>(sizeof(reported))) {
+    covered = reported;
+    ++good;
+  }
+  ::close(report[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT) << status;
+  ASSERT_EQ(good, kGoodBarriers);
+  ASSERT_GT(covered, 0u);
+
+  auto tree = MakeConcurrentBTree(Algorithm::kOlc, 8);
+  uint64_t expected_lsn = 1;
+  RecoveryResult result =
+      RecoverShard(tmp.path(), 0, [&](const WalRecord& record) {
+        EXPECT_EQ(record.lsn, expected_lsn++) << "replayed LSNs have a gap";
+        tree->Insert(record.key, record.value);
+      });
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.records, result.max_lsn) << "not a prefix from LSN 1";
+  EXPECT_GE(result.max_lsn, covered)
+      << "lost records the last good barrier made durable";
+  tree->CheckInvariants();
+  for (Key key = 1; key <= static_cast<Key>(covered); ++key) {
+    const auto found = tree->Search(key);
+    ASSERT_TRUE(found.has_value()) << "lost durable key " << key;
+    EXPECT_EQ(*found, 2 * key);
+  }
 }
 
 /// WalBinding over a real ShardLog, as the server wires it.

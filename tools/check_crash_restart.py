@@ -19,7 +19,10 @@ Phases:
   3. SIGKILL the server mid-stream (writers see ECONNRESET; whatever was
      sent-but-unacked is allowed to be lost, acked writes are not).
   4. Restart serve on the same --wal_dir; its recovery scan must succeed
-     (replay line printed, CheckInvariants runs on the replayed tree).
+     (replay line printed, CheckInvariants runs on the replayed tree), and
+     its "(N torn bytes truncated)" banner must show less than one record
+     frame per shard: a SIGKILL tears at most the frame in flight, while
+     the preallocated zero tail past the written end is not torn at all.
   5. Search every oracle key over the wire: each must come back kFound with
      the exact acked value. Then SIGINT and require a clean drain (exit 0),
      which re-runs CheckAllInvariants server-side.
@@ -38,6 +41,7 @@ import time
 REQUEST = struct.Struct("<IBQqq")   # len, op, id, key, value
 RESPONSE = struct.Struct("<IBQq")   # len, status, id, value
 OP_SEARCH, OP_INSERT = 1, 2
+RECORD_FRAME_SIZE = 33  # wal::kRecordFrameSize
 ST_FOUND, ST_INSERTED, ST_UPDATED = 1, 3, 4
 ST_REJECTED = 7
 
@@ -56,6 +60,7 @@ def start_serve(binary, wal_dir, protocol, fsync, recovery, shards):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     port = None
     replayed = None
+    torn = None
     deadline = time.time() + 20
     lines = []
     while time.time() < deadline:
@@ -66,6 +71,9 @@ def start_serve(binary, wal_dir, protocol, fsync, recovery, shards):
         replay_match = re.search(r"replayed (\d+) records", line)
         if replay_match:
             replayed = int(replay_match.group(1))
+        torn_match = re.search(r"\((\d+) torn bytes truncated\)", line)
+        if torn_match:
+            torn = int(torn_match.group(1))
         port_match = re.search(r"listening on [\d.]+:(\d+)", line)
         if port_match:
             port = int(port_match.group(1))
@@ -73,7 +81,7 @@ def start_serve(binary, wal_dir, protocol, fsync, recovery, shards):
     if port is None:
         proc.kill()
         fail(f"serve never printed its port:\n{''.join(lines)}")
-    return proc, port, replayed
+    return proc, port, replayed, torn
 
 
 def recv_exact(sock, size):
@@ -137,8 +145,8 @@ def main():
             shards = flag.split("=", 1)[1]
 
     with tempfile.TemporaryDirectory(prefix="cbtree_crash_") as wal_dir:
-        serve, port, _ = start_serve(binary, wal_dir, protocol, fsync,
-                                     recovery, shards)
+        serve, port, _, _ = start_serve(binary, wal_dir, protocol, fsync,
+                                        recovery, shards)
 
         # Disjoint per-connection key ranges, far above the preload key
         # space (1..2*items), so the oracle owns its keys exclusively.
@@ -170,13 +178,20 @@ def main():
 
         # Restart on the same WAL directory: recovery must replay at least
         # every acked write (preload + acked inserts + torn-tail slack).
-        serve2, port2, replayed = start_serve(binary, wal_dir, protocol,
-                                              fsync, recovery, shards)
+        serve2, port2, replayed, torn = start_serve(
+            binary, wal_dir, protocol, fsync, recovery, shards)
         try:
             if replayed is None:
                 fail("restarted serve printed no replay line")
             if replayed < len(oracle):
                 fail(f"replayed {replayed} records < {len(oracle)} acked")
+            if torn is None:
+                fail("restarted serve printed no torn-bytes banner")
+            torn_limit = int(shards) * RECORD_FRAME_SIZE
+            if torn >= torn_limit:
+                fail(f"recovery truncated {torn} torn bytes; a SIGKILL tears "
+                     f"less than one {RECORD_FRAME_SIZE}-byte frame per "
+                     f"shard (< {torn_limit})")
 
             sock = socket.create_connection(("127.0.0.1", port2), timeout=10)
             sock.settimeout(10)
@@ -209,7 +224,8 @@ def main():
                 fail(f"restarted serve exited {serve2.returncode}:\n{tail}")
             print(f"OK: {protocol} fsync={fsync} recovery={recovery} "
                   f"shards={shards}: {len(oracle)} acked writes survived "
-                  f"SIGKILL (replayed {replayed} records)")
+                  f"SIGKILL (replayed {replayed} records, {torn} torn "
+                  f"bytes)")
         finally:
             if serve2.poll() is None:
                 serve2.kill()

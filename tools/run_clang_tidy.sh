@@ -3,12 +3,9 @@
 # tool and test sources using a compile_commands.json produced by a Clang
 # configure. Any diagnostic fails the run (WarningsAsErrors: '*').
 #
-# The project-specific cbtree-* checks run as well, through two engines:
-#   - tools/cbtree_tidy/cbtree_tidy.py (dependency-free, always runs);
-#   - the CbtreeTidyModule clang-tidy plugin, loaded with -load when a
-#     built module is found. A module that fails to load or does not
-#     register all six cbtree-* checks fails the run loudly — a silently
-#     dropped plugin (LLVM version skew) must not look like a clean lint.
+# The project-specific cbtree-* checks run first, through
+# tools/cbtree_tidy/cbtree_tidy.py (a dependency-free lexical analyzer; see
+# docs/STATIC_ANALYSIS.md). Any cbtree-* finding fails the run too.
 #
 #   tools/run_clang_tidy.sh                  # configure + lint everything
 #   tools/run_clang_tidy.sh src/ctree        # lint one subtree
@@ -16,7 +13,6 @@
 # Environment:
 #   BUILD_DIR    build tree with compile_commands.json (default build-tidy/)
 #   CLANG_TIDY   clang-tidy binary (default: clang-tidy)
-#   TIDY_PLUGIN  CbtreeTidyModule.so (default: auto-detect under BUILD_DIR)
 #   JOBS         parallel lint processes (default: nproc)
 
 set -euo pipefail
@@ -39,9 +35,9 @@ if [[ ! -f "$BUILD_DIR/compile_commands.json" ]]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
 fi
 
-# The cbtree-* checks always run through the python engine; they cover the
-# tree, epoch, net and sim layers regardless of which subtree was requested.
-echo "=== cbtree-tidy (python engine) ==="
+# The cbtree-* checks cover the tree, epoch, net, sim and wal layers
+# regardless of which subtree was requested.
+echo "=== cbtree-tidy ==="
 python3 tools/cbtree_tidy/cbtree_tidy.py --quiet \
   src/ctree/*.cc src/ctree/*.h src/base/epoch.h src/base/epoch.cc
 python3 tools/cbtree_tidy/cbtree_tidy.py --quiet \
@@ -51,51 +47,16 @@ python3 tools/cbtree_tidy/cbtree_tidy.py --quiet \
   --checks=cbtree-wal-append \
   src/wal/*.cc src/wal/*.h src/net/*.cc src/net/*.h
 
-# Plugin leg: auto-detect a built module; verify it actually registers the
-# six checks before trusting any clean result from it.
-TIDY_PLUGIN="${TIDY_PLUGIN:-}"
-if [[ -z "$TIDY_PLUGIN" ]]; then
-  for candidate in "$BUILD_DIR"/tools/cbtree_tidy/CbtreeTidyModule.so \
-                   build*/tools/cbtree_tidy/CbtreeTidyModule.so; do
-    if [[ -f "$candidate" ]]; then
-      TIDY_PLUGIN="$candidate"
-      break
-    fi
-  done
-fi
-
-load_args=()
-if [[ -n "$TIDY_PLUGIN" ]]; then
-  if ! listed=$("$CLANG_TIDY" -load "$TIDY_PLUGIN" -list-checks \
-                -checks='-*,cbtree-*' 2>&1); then
-    echo "error: clang-tidy failed to load $TIDY_PLUGIN (version skew?):" >&2
-    echo "$listed" >&2
-    exit 2
-  fi
-  for check in cbtree-epoch-guard cbtree-version-validate \
-               cbtree-latch-wrapper cbtree-obs-compile-out \
-               cbtree-node-alloc cbtree-wal-append; do
-    if ! grep -q "$check" <<< "$listed"; then
-      echo "error: $TIDY_PLUGIN loaded but does not register $check" >&2
-      exit 2
-    fi
-  done
-  echo "=== cbtree-tidy plugin loaded: $TIDY_PLUGIN ==="
-  load_args=(-load "$TIDY_PLUGIN")
-fi
-
 # Lint the sources we own. Excluded:
 #   - tests/tidy_fixtures/: deliberately-violating analyzer inputs, never
-#     compiled, absent from compile_commands.json;
-#   - tools/cbtree_tidy/*.cpp: plugin sources needing clang-tidy dev
-#     headers, built (and thus linted) only when those exist.
+#     compiled, absent from compile_commands.json.
 # Generated headers (build_info.h) live under the build tree, which find
 # never descends into.
 roots=("${@:-src tools tests examples bench}")
 mapfile -t files < <(
   # shellcheck disable=SC2086
-  find ${roots[@]} \( -path tests/tidy_fixtures -o -path tools/cbtree_tidy \) \
-       -prune -o \( -name '*.cc' -o -name '*.cpp' \) -print | sort)
+  find ${roots[@]} -path tests/tidy_fixtures -prune \
+       -o \( -name '*.cc' -o -name '*.cpp' \) -print | sort)
 
 if [[ ${#files[@]} -eq 0 ]]; then
   echo "error: no sources found under: ${roots[*]}" >&2
@@ -104,6 +65,6 @@ fi
 
 echo "=== clang-tidy over ${#files[@]} files ($JOBS jobs) ==="
 printf '%s\n' "${files[@]}" |
-  xargs -P "$JOBS" -n 1 "$CLANG_TIDY" "${load_args[@]}" -p "$BUILD_DIR" --quiet
+  xargs -P "$JOBS" -n 1 "$CLANG_TIDY" -p "$BUILD_DIR" --quiet
 
 echo "clang-tidy: clean"
