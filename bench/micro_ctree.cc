@@ -30,7 +30,7 @@ void BM_CTreeInsert(benchmark::State& state) {
     tree.reset();
   }
 }
-BENCHMARK(BM_CTreeInsert)->Arg(0)->Arg(1)->Arg(2)->Threads(1)->Threads(4);
+BENCHMARK(BM_CTreeInsert)->DenseRange(0, 4)->Threads(1)->Threads(4);
 
 void BM_CTreeSearch(benchmark::State& state) {
   static std::unique_ptr<ConcurrentBTree> tree;
@@ -52,7 +52,7 @@ void BM_CTreeSearch(benchmark::State& state) {
     tree.reset();
   }
 }
-BENCHMARK(BM_CTreeSearch)->Arg(0)->Arg(1)->Arg(2)->Threads(1)->Threads(4);
+BENCHMARK(BM_CTreeSearch)->DenseRange(0, 4)->Threads(1)->Threads(4);
 
 void BM_CTreeMixed(benchmark::State& state) {
   static std::unique_ptr<ConcurrentBTree> tree;
@@ -78,7 +78,7 @@ void BM_CTreeMixed(benchmark::State& state) {
     tree.reset();
   }
 }
-BENCHMARK(BM_CTreeMixed)->Arg(0)->Arg(1)->Arg(2)->Threads(1)->Threads(4);
+BENCHMARK(BM_CTreeMixed)->DenseRange(0, 4)->Threads(1)->Threads(4);
 
 }  // namespace
 }  // namespace cbtree

@@ -95,20 +95,17 @@
 //
 // The epoch rules ("no retire-able node dereference outside a live
 // EpochGuard") are not lock acquisitions, so -Wthread-safety cannot state
-// them; the cbtree-epoch-guard check in tools/cbtree_tidy does. These
-// markers are its interprocedural contract annotations, expanding to plain
-// `annotate` attributes (zero codegen, visible in the AST and to the
-// lexical analyzer).
+// them; the cbtree-epoch-guard and cbtree-node-alloc checks in
+// tools/cbtree_tidy/cbtree_tidy.py do. That engine reads these markers by
+// name from the source text, so they expand to nothing on every compiler.
 
 /// The caller must hold a live EpochGuard across this call. Used on free
 /// helpers that cannot name an `epoch_` member; OlcTree member functions
 /// carry the checkable CBTREE_REQUIRES_SHARED(epoch_) instead.
-#define CBTREE_REQUIRES_EPOCH \
-  CBTREE_THREAD_ANNOTATION_ATTRIBUTE__(annotate("cbtree::requires_epoch"))
+#define CBTREE_REQUIRES_EPOCH
 
 /// The function runs only when no concurrent operation exists (destructor,
 /// invariant checker, test hook), so node access without a guard is safe.
-#define CBTREE_EPOCH_QUIESCENT \
-  CBTREE_THREAD_ANNOTATION_ATTRIBUTE__(annotate("cbtree::epoch_quiescent"))
+#define CBTREE_EPOCH_QUIESCENT
 
 #endif  // CBTREE_BASE_THREAD_ANNOTATIONS_H_

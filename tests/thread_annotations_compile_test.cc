@@ -1,6 +1,7 @@
 // Proves the thread-safety annotation macros (base/thread_annotations.h)
 // are zero-cost: off Clang every macro expands to nothing (checked by
-// stringifying the expansion), and on every compiler an annotated type is
+// stringifying the expansion; the epoch markers expand to nothing under
+// every compiler), and on every compiler an annotated type is
 // layout-identical to its unannotated twin — the attributes exist only in
 // the analyzer's world.
 
@@ -58,11 +59,15 @@ static_assert(sizeof(CBTREE_TEST_STRINGIFY(CBTREE_ACQUIRED_BEFORE(m))) == 1,
               "CBTREE_ACQUIRED_BEFORE must expand to nothing off Clang");
 static_assert(sizeof(CBTREE_TEST_STRINGIFY(CBTREE_ACQUIRED_AFTER(m))) == 1,
               "CBTREE_ACQUIRED_AFTER must expand to nothing off Clang");
-static_assert(sizeof(CBTREE_TEST_STRINGIFY(CBTREE_REQUIRES_EPOCH)) == 1,
-              "CBTREE_REQUIRES_EPOCH must expand to nothing off Clang");
-static_assert(sizeof(CBTREE_TEST_STRINGIFY(CBTREE_EPOCH_QUIESCENT)) == 1,
-              "CBTREE_EPOCH_QUIESCENT must expand to nothing off Clang");
 #endif  // !__clang__
+
+// The epoch markers are read by name from the source text
+// (tools/cbtree_tidy/cbtree_tidy.py), never by a compiler: they expand to
+// nothing under every compiler, Clang included.
+static_assert(sizeof(CBTREE_TEST_STRINGIFY(CBTREE_REQUIRES_EPOCH)) == 1,
+              "CBTREE_REQUIRES_EPOCH must expand to nothing");
+static_assert(sizeof(CBTREE_TEST_STRINGIFY(CBTREE_EPOCH_QUIESCENT)) == 1,
+              "CBTREE_EPOCH_QUIESCENT must expand to nothing");
 
 // Layout parity, checked under every compiler: the annotated NodeLatch
 // wraps exactly one std::shared_mutex, and the annotated Mutex exactly one

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""End-to-end loopback smoke test: `cbtree serve` + `cbtree drive`.
+"""End-to-end loopback check: `cbtree serve` + `cbtree drive`.
 
 Usage: check_serve_drive.py <cbtree-binary> [--protocol=...] [--lambda=...]
+           [--shards=N] [--loops=N] [--qs=.. --qi=.. --qd=..]
+           [--wal [--fsync=...] [--group_commit_us=...] [--recovery=...]]
 
 Starts a server on an ephemeral port, waits for its "listening on" line,
 runs the open-loop driver against it with --json, then SIGINTs the server
@@ -9,9 +11,17 @@ and checks both sides:
 
   * drive exits 0 and its JSON is SimPoint-shape-compatible (kind "drive",
     stats with resp_p50/p95/p99, counts with completed) with zero lost
-    requests: sent == completed + rejected, errors == unanswered == 0;
-  * serve drains gracefully on SIGINT: exits 0 and its final report agrees
-    with the driver on the number of completed requests.
+    requests: sent == completed + rejected, errors == unanswered == 0, and
+    the per-shard sent/completed arrays sum to the totals;
+  * serve drains gracefully on SIGINT: exits 0 within 30 s and its final
+    report agrees with the driver on the number of completed requests.
+
+--wal runs the server write-ahead logged into a fresh temporary directory
+(--fsync, --group_commit_us and --recovery pass through to serve) and adds
+the group-commit gate. Serve's report must carry both wal lines, and its
+`wal serving N appends in M fsyncs` line (the serving window, preload
+excluded) must show N >= 1000, so the run is large enough to judge, and,
+unless fsync is off, N / M >= 2: group commit amortizes its barriers.
 """
 
 import json
@@ -19,7 +29,13 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+
+WAL_REPORT_RE = re.compile(r"wal\s+\d+ appends in \d+ groups \(\d+ fsyncs")
+WAL_SERVING_RE = re.compile(r"wal serving (\d+) appends in (\d+) fsyncs")
+MIN_SERVING_APPENDS = 1000
+MIN_APPENDS_PER_FSYNC = 2.0
 
 
 def fail(message):
@@ -27,33 +43,73 @@ def fail(message):
     sys.exit(1)
 
 
+def check_group_commit(tail, fsync):
+    """Gates the serve report's WAL lines; returns the summary text."""
+    if not WAL_REPORT_RE.search(tail):
+        fail(f"WAL run but serve printed no wal line:\n{tail}")
+    match = WAL_SERVING_RE.search(tail)
+    if not match:
+        fail(f"WAL run but serve printed no wal serving line:\n{tail}")
+    appends, fsyncs = int(match.group(1)), int(match.group(2))
+    ratio = appends / max(fsyncs, 1)
+    summary = f"wal serving {appends} appends / {fsyncs} fsyncs ({ratio:.2f}x)"
+    # A window too small to judge fails rather than passes: a gate that
+    # skips when it cannot see would pass for the wrong reason.
+    if appends < MIN_SERVING_APPENDS:
+        fail(f"{summary}: fewer than {MIN_SERVING_APPENDS} serving appends, "
+             f"too few to judge group commit")
+    # Near 1x means every append paid its own durability barrier: a
+    # pipeline regression, not noise (slower disks coalesce more, not less).
+    if fsync != "off" and ratio < MIN_APPENDS_PER_FSYNC:
+        fail(f"{summary}: group commit not amortizing "
+             f"(< {MIN_APPENDS_PER_FSYNC:.0f} appends per fsync)")
+    return summary
+
+
 def main():
     if len(sys.argv) < 2:
         fail("usage: check_serve_drive.py <cbtree-binary> [flags...]")
     binary = sys.argv[1]
-    extra = sys.argv[2:]
     protocol = "blink"
     lam = "1500"
     shards = "1"
     loops = "1"
     mix = []  # extra --qs/--qi/--qd flags forwarded to drive
-    for flag in extra:
-        if flag.startswith("--protocol="):
-            protocol = flag.split("=", 1)[1]
-        if flag.startswith("--lambda="):
-            lam = flag.split("=", 1)[1]
-        if flag.startswith("--shards="):
-            shards = flag.split("=", 1)[1]
-        if flag.startswith("--loops="):
-            loops = flag.split("=", 1)[1]
-        if flag.startswith(("--qs=", "--qi=", "--qd=")):
+    wal = False
+    fsync = "data"  # serve's default
+    wal_flags = []  # --fsync/--group_commit_us/--recovery forwarded to serve
+    for flag in sys.argv[2:]:
+        name, _, value = flag.partition("=")
+        if name == "--protocol":
+            protocol = value
+        elif name == "--lambda":
+            lam = value
+        elif name == "--shards":
+            shards = value
+        elif name == "--loops":
+            loops = value
+        elif name in ("--qs", "--qi", "--qd"):
             mix.append(flag)
+        elif flag == "--wal":
+            wal = True
+        elif name in ("--fsync", "--group_commit_us", "--recovery"):
+            wal_flags.append(flag)
+            if name == "--fsync":
+                fsync = value
+        else:
+            fail(f"unknown flag {flag}")
+    if wal_flags and not wal:
+        fail(f"{' '.join(wal_flags)} given without --wal")
 
-    serve = subprocess.Popen(
-        [binary, "serve", f"--protocol={protocol}", "--port=0",
-         "--items=5000", "--workers=4", f"--shards={shards}",
-         f"--loops={loops}"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    wal_dir = None
+    serve_args = [binary, "serve", f"--protocol={protocol}", "--port=0",
+                  "--items=5000", "--workers=4", f"--shards={shards}",
+                  f"--loops={loops}"]
+    if wal:
+        wal_dir = tempfile.TemporaryDirectory(prefix="cbtree_serve_drive_wal_")
+        serve_args += [f"--wal_dir={wal_dir.name}"] + wal_flags
+    serve = subprocess.Popen(serve_args, stdout=subprocess.PIPE,
+                             stderr=subprocess.STDOUT, text=True)
     try:
         # Readiness handshake: serve prints "listening on HOST:PORT" once
         # the socket is bound.
@@ -128,12 +184,15 @@ def main():
         if int(match.group(1)) != stats["completed"]:
             fail(f"serve completed {match.group(1)} != "
                  f"drive completed {stats['completed']}")
+        summary = check_group_commit(tail, fsync) if wal else ""
         print(f"OK: {protocol} lambda={lam} sent={stats['sent']} "
               f"completed={stats['completed']} rejected={stats['rejected']} "
-              f"p99={stats['resp_p99']:.6f}s")
+              f"p99={stats['resp_p99']:.6f}s {summary}".rstrip())
     finally:
         if serve.poll() is None:
             serve.kill()
+        if wal_dir is not None:
+            wal_dir.cleanup()
 
 
 if __name__ == "__main__":
