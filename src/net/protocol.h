@@ -12,7 +12,8 @@
 // admin reply, whose payload is still bounded by kMaxStatsPayload and
 // disambiguated by the status byte, so the no-unbounded-buffering property
 // holds. Multiple frames may be pipelined on one connection; responses carry
-// the request's id because a worker pool completes them out of order.
+// the request's id because they may complete out of order (a write whose
+// ack waits for durability is overtaken by later reads).
 //
 // The `value` of a response is overloaded by status: the stored value for
 // kFound, and the suggested retry backoff in microseconds for kRejected
@@ -37,9 +38,8 @@ enum class OpCode : uint8_t {
   kInsert = 2,
   kDelete = 3,
   /// Admin: ask the server for a live stats snapshot. Served out-of-band on
-  /// the event loop (never enters the admission budget or the shard worker
-  /// pools). `key` selects the body format (see StatsFormat); `value` is
-  /// ignored.
+  /// the event loop (never enters the admission budget or a batch). `key`
+  /// selects the body format (see StatsFormat); `value` is ignored.
   kStats = 4,
 };
 

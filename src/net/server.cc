@@ -109,51 +109,38 @@ int OpenListenSocket(const std::string& host, int port, bool reuseport,
 
 }  // namespace
 
-/// Per-connection state. The read side (read_buffer/poisoned) belongs to
-/// the owning loop's thread alone; the write side is shared with the shard
-/// workers and guarded by mu. `fd` is closed only by the owning loop, and
-/// only after setting `closed` under mu, so a worker holding mu either sees
-/// closed or owns a still-valid fd for the duration of its send.
+/// Per-connection state, owned by one event loop: only that loop's thread
+/// reads it, writes it and closes it. Shutdown completes batches against
+/// closed connections too, but only after every loop has exited.
 struct Server::Conn {
   int fd = -1;
   uint64_t id = 0;
-  Loop* loop = nullptr;  ///< owning event loop (read side, close, epoll)
+  Loop* loop = nullptr;  ///< owning event loop
 
-  // Owning loop thread only.
   std::string read_buffer;
   size_t read_pos = 0;
   bool poisoned = false;  ///< framing lost; discard further input
 
-  /// Write-side lock. Acquired after the owning loop's mu whenever both
-  /// would be held (see the lock-order note on Server::shutdown_mu_);
-  /// today no path nests them, the attribute pins the designed direction.
-  Mutex mu CBTREE_ACQUIRED_AFTER(loop->mu);
-  std::string write_buffer CBTREE_GUARDED_BY(mu);
-  size_t write_pos CBTREE_GUARDED_BY(mu) = 0;
-  bool closed CBTREE_GUARDED_BY(mu) = false;
-  bool close_after_flush CBTREE_GUARDED_BY(mu) = false;
-  bool write_error CBTREE_GUARDED_BY(mu) = false;
-  bool slow_consumer CBTREE_GUARDED_BY(mu) = false;
+  std::string write_buffer;
+  size_t write_pos = 0;
+  bool closed = false;
+  bool close_after_flush = false;
+  bool write_armed = false;  ///< EPOLLOUT registered
   /// Largest unflushed backlog this connection ever reached.
-  size_t write_buffer_hwm CBTREE_GUARDED_BY(mu) = 0;
+  size_t write_buffer_hwm = 0;
   /// Cumulative stream offsets: bytes ever appended / ever handed to the
   /// kernel. appended_total - flushed_total == unflushed(). The flush spans
   /// complete (stage timers, sampled waterfalls) once flushed_total passes
   /// their end offset.
-  uint64_t appended_total CBTREE_GUARDED_BY(mu) = 0;
-  uint64_t flushed_total CBTREE_GUARDED_BY(mu) = 0;
-  std::deque<FlushSpan> flush_spans CBTREE_GUARDED_BY(mu);
+  uint64_t appended_total = 0;
+  uint64_t flushed_total = 0;
+  std::deque<FlushSpan> flush_spans;
 
-  /// Dedupes handoffs to the owning loop's pending list.
-  std::atomic<bool> handoff_queued{false};
-
-  size_t unflushed() const CBTREE_REQUIRES(mu) {
-    return write_buffer.size() - write_pos;
-  }
+  size_t unflushed() const { return write_buffer.size() - write_pos; }
 };
 
 /// One event loop: epoll set, wake eventfd, optionally its own listen fd
-/// (SO_REUSEPORT), and the connections whose read sides it owns.
+/// (SO_REUSEPORT), and the connections it owns.
 struct Server::Loop {
   int index = 0;
   int epoll_fd = -1;
@@ -165,11 +152,15 @@ struct Server::Loop {
   std::map<int, std::shared_ptr<Conn>> conns;
 
   Mutex mu;
-  /// Connections whose workers left unflushed bytes, awaiting EPOLLOUT
-  /// arming by this loop.
-  std::vector<std::shared_ptr<Conn>> pending_write CBTREE_GUARDED_BY(mu);
   /// Accepted fds handed over by loop 0 in the round-robin fallback.
   std::vector<int> adopted_fds CBTREE_GUARDED_BY(mu);
+  /// Batches of this loop's connections whose writes became durable,
+  /// posted by the shard log writers for this loop to acknowledge.
+  std::vector<ExecutedBatch> durable CBTREE_GUARDED_BY(mu);
+  /// Admission budget of the batches acknowledged during the loop's current
+  /// pass over its ready events, returned to in_flight_ when the pass ends
+  /// (by Shutdown once the loop has exited); loop thread only.
+  size_t acked_this_pass = 0;
 
   // Per-loop accounting (see LoopServerStats).
   std::atomic<uint64_t> connections_accepted{0};
@@ -195,22 +186,21 @@ class ShardWalBinding : public WalBinding {
   wal::ShardLog* log_;
 };
 
-/// One key-space shard: its tree and the dedicated worker pool that gives
-/// the shard its thread affinity, plus per-shard batch accounting.
+/// One key-space shard: its tree plus per-shard batch accounting. Any loop
+/// may run a batch on any shard.
 struct Server::Shard {
   std::unique_ptr<ConcurrentBTree> tree;
-  std::unique_ptr<ThreadPool> pool;
   /// Write-ahead log + the binding the tree mutates through (null when
-  /// durability is off). The log outlives the pool (its writer may still
-  /// release parked acks of batches the workers finished) and survives until
-  /// the Server dies so the final report can read its stats after Close().
+  /// durability is off). The log outlives the loops (its writer may still
+  /// release parked acks of batches they ran) and survives until the Server
+  /// dies so the final report can read its stats after Close().
   std::unique_ptr<wal::ShardLog> log;
   std::unique_ptr<WalBinding> wal_binding;
   std::atomic<uint64_t> executed{0};
   std::atomic<uint64_t> batches{0};
   std::atomic<uint64_t> batched_requests{0};
-  /// Requests admitted to this shard and not yet completed (queued in the
-  /// pool + executing): the live per-shard queue depth.
+  /// Requests admitted to this shard and not yet completed (executing or
+  /// awaiting durability): the live per-shard queue depth.
   std::atomic<uint64_t> in_flight{0};
 };
 
@@ -318,16 +308,10 @@ bool Server::StartListeners(std::string* error) {
 bool Server::Start(std::string* error) {
   CBTREE_CHECK(!running_.load()) << "Start() called twice";
   const int shard_count = std::max(1, options_.shards);
-  // Every shard gets at least one dedicated worker; extra workers spread
-  // round-robin so `workers` stays the total across the server.
-  const int workers_total = std::max(shard_count, options_.workers);
   shards_.clear();
   for (int s = 0; s < shard_count; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->tree = MakeConcurrentBTree(options_.algorithm, options_.node_size);
-    int shard_workers =
-        workers_total / shard_count + (s < workers_total % shard_count ? 1 : 0);
-    shard->pool = std::make_unique<ThreadPool>(std::max(1, shard_workers));
     shards_.push_back(std::move(shard));
   }
   const bool wal_enabled = !options_.wal_dir.empty();
@@ -479,20 +463,31 @@ void Server::Shutdown() {
       if (loop->thread.joinable()) loop->thread.join();
     }
   }
-  // Shard pools drain any residual queued work, then join their workers.
-  for (auto& shard : shards_) shard->pool.reset();
-  // Only after the workers are gone (none can be appending) do the logs
+  // Only after the loops are gone (none can be appending) do the logs
   // flush their tails, release any acks still parked on them, and join
   // their writers. The ShardLog objects stay alive for the final report's
   // WAL stats.
   for (auto& shard : shards_) {
     if (shard->log != nullptr) shard->log->Close();
   }
+  // A drain that timed out leaves acks that the writers posted after their
+  // loop had exited (in Close above, or earlier). Their connections are all
+  // closed by now: the batches complete here, counted, sending nothing.
+  for (auto& loop : loops_) {
+    std::vector<ExecutedBatch> durable;
+    {
+      MutexLock guard(&loop->mu);
+      durable.swap(loop->durable);
+    }
+    for (ExecutedBatch& batch : durable) CompleteBatch(&batch);
+    in_flight_.fetch_sub(loop->acked_this_pass, std::memory_order_release);
+    loop->acked_this_pass = 0;
+  }
 #if CBTREE_OBS_ENABLED
   // The exposition listener stops before the final snapshot so no scrape
   // can race it; the final interval is recorded only after every loop and
-  // worker has joined, which is what makes it exact (interval deltas then
-  // sum to the final cumulative totals bit for bit).
+  // log writer has joined, which is what makes it exact (interval deltas
+  // then sum to the final cumulative totals bit for bit).
   if (stats_thread_.joinable()) {
     stats_stop_.store(true, std::memory_order_release);
     stats_thread_.join();
@@ -945,6 +940,10 @@ void Server::EventLoop(Loop* loop) {
           ticker ? options_.stats_interval_s : 1.0));
   Clock::time_point next_tick = Clock::now() + tick_period;
 #endif
+  // Swapped with the loop's shared lists each iteration, so their capacity
+  // is reused.
+  std::vector<int> adopted;
+  std::vector<ExecutedBatch> durable;
   for (;;) {
     const bool draining = draining_.load(std::memory_order_acquire);
     if (draining) {
@@ -1006,51 +1005,34 @@ void Server::EventLoop(Loop* loop) {
         continue;
       }
       if ((events[i].events & EPOLLOUT) != 0) HandleWritable(conn);
-      if ((events[i].events & EPOLLIN) != 0) HandleReadable(conn);
+      if ((events[i].events & EPOLLIN) != 0 && !conn->closed) {
+        HandleReadable(conn);
+      }
     }
-    // Fds handed over by loop 0 (round-robin fallback): register them here
-    // so this loop owns their read sides from the first byte.
-    std::vector<int> adopted;
+    // Fds handed over by loop 0 (round-robin fallback), registered here so
+    // this loop owns them from the first byte; and batches whose writes the
+    // shard logs made durable, acknowledged here.
     {
       MutexLock guard(&loop->mu);
       adopted.swap(loop->adopted_fds);
+      durable.swap(loop->durable);
     }
     for (int fd : adopted) AdoptConn(loop, fd);
-    // Worker handoffs: arm EPOLLOUT for partially-flushed connections and
-    // close the ones the workers found dead.
-    std::vector<std::shared_ptr<Conn>> pending;
-    {
-      MutexLock guard(&loop->mu);
-      pending.swap(loop->pending_write);
-    }
-    for (const std::shared_ptr<Conn>& conn : pending) {
-      conn->handoff_queued.store(false, std::memory_order_release);
-      bool close_now = false;
-      bool arm = false;
-      {
-        MutexLock guard(&conn->mu);
-        if (conn->closed) continue;
-        if (conn->write_error) {
-          close_now = true;
-        } else if (conn->unflushed() > 0) {
-          arm = true;
-        } else if (conn->close_after_flush) {
-          close_now = true;
-        }
-      }
-      if (close_now) {
-        CloseConn(conn);
-      } else if (arm) {
-        epoll_event ev = {};
-        ev.events = EPOLLIN | EPOLLOUT;
-        ev.data.fd = conn->fd;
-        epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-      }
-    }
+    adopted.clear();
+    for (ExecutedBatch& batch : durable) CompleteBatch(&batch);
+    durable.clear();
+    // The pass is over: only now does the work it acknowledged leave the
+    // admission budget. A run-to-completion loop answers a batch before it
+    // decodes the next, so releasing per batch would cap in_flight_ at one
+    // batch per loop and the budget would never reject; charged per pass,
+    // everything one pass took in counts at once.
+    // Released last: LoopIdle treats in_flight_ == 0 as fully drained.
+    in_flight_.fetch_sub(loop->acked_this_pass, std::memory_order_release);
+    loop->acked_this_pass = 0;
   }
   // Drain finished (or timed out): close everything this loop still owns,
-  // including any adopted-but-unregistered fds.
-  std::vector<int> adopted;
+  // including any adopted-but-unregistered fds. Acks still parked on the
+  // logs are completed by Shutdown.
   {
     MutexLock guard(&loop->mu);
     adopted.swap(loop->adopted_fds);
@@ -1195,6 +1177,10 @@ bool Server::DrainReadBuffer(const std::shared_ptr<Conn>& conn) {
     Admit(conn, request, &batch);
   }
   FlushBatch(conn, &batch);
+  // Rejections are only buffered as they are decided (a send per rejection
+  // would make shedding load dearer than serving it); one flush attempt
+  // sends whatever this read left unsent.
+  if (conn->unflushed() > 0) SendResponses(conn, nullptr, 0);
   if (conn->read_pos > 0 && conn->read_pos == conn->read_buffer.size()) {
     conn->read_buffer.clear();
     conn->read_pos = 0;
@@ -1215,11 +1201,11 @@ void Server::Admit(const std::shared_ptr<Conn>& conn, const Request& request,
     Response response;
     response.status = Status::kShuttingDown;
     response.id = request.id;
-    SendResponse(conn, response);
+    BufferResponse(conn.get(), response);
     return;
   }
-  // Admission control: CAS keeps the server-wide budget exact under racing
-  // decrements from every shard pool.
+  // Admission control: CAS keeps the server-wide budget exact while the
+  // other loops admit and complete concurrently.
   size_t current = in_flight_.load(std::memory_order_relaxed);
   for (;;) {
     if (current >= options_.max_inflight) {
@@ -1229,7 +1215,7 @@ void Server::Admit(const std::shared_ptr<Conn>& conn, const Request& request,
       response.status = Status::kRejected;
       response.id = request.id;
       response.value = options_.retry_hint_us;
-      SendResponse(conn, response);
+      BufferResponse(conn.get(), response);
       return;
     }
     if (in_flight_.compare_exchange_weak(current, current + 1,
@@ -1286,43 +1272,27 @@ void Server::FlushBatch(const std::shared_ptr<Conn>& conn, Batch* batch) {
   }
   shard.in_flight.fetch_add(batch->requests.size(),
                             std::memory_order_relaxed);
-  const uint64_t enqueue_ns = ElapsedNs(start_time_);
-  // The future is intentionally dropped; completion is observed through
-  // in_flight_ and the write buffers.
-  shard.pool->Submit([this, conn, shard_index,
-                      requests = std::move(batch->requests),
-                      enqueue_ns]() mutable {
-    ExecuteBatch(std::move(conn), shard_index, std::move(requests),
-                 enqueue_ns);
-  });
-  batch->requests.clear();
-  batch->shard = -1;
-}
-
-void Server::ExecuteBatch(std::shared_ptr<Conn> conn, int shard_index,
-                          std::vector<AdmittedRequest> requests,
-                          uint64_t enqueue_ns) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   ConcurrentBTree* tree = shard.tree.get();
   wal::ShardLog* log = shard.log.get();
-  // A batch's LSN is its own: the last record this worker appends during
-  // the pass, or 0 when it appends nothing (a read-only batch must not wait
-  // on an earlier batch's writes).
+  // A batch's LSN is its own: the last record this loop appends during the
+  // pass, or 0 when it appends nothing (a read-only batch must not wait on
+  // an earlier batch's writes). Every append of the pass goes to this
+  // shard's log, so the per-thread slot is not disturbed by other shards.
   const uint64_t lsn_before = log != nullptr ? log->ThreadLastLsn() : 0;
   ExecutedBatch done;
-  done.conn = std::move(conn);
+  done.conn = conn;
   done.shard = shard_index;
-  done.enqueue_ns = enqueue_ns;
-  done.requests = std::move(requests);
+  done.start_ns = ElapsedNs(start_time_);
+  done.requests.swap(batch->requests);
+  batch->shard = -1;
   done.responses.reserve(done.requests.size());
 #if CBTREE_OBS_ENABLED
   StageTimers& stage = obs_stage_[static_cast<size_t>(shard_index)];
-  const uint64_t dequeue_ns = ElapsedNs(start_time_);
   done.span.requests.reserve(done.requests.size());
 #endif
   for (const AdmittedRequest& admitted : done.requests) {
     const Request& request = admitted.req;
-    if (options_.worker_delay_hook) options_.worker_delay_hook(request);
+    if (options_.exec_delay_hook) options_.exec_delay_hook(request);
     const uint64_t tree_start_ns = ElapsedNs(start_time_);
     Response response;
     response.id = request.id;
@@ -1356,10 +1326,11 @@ void Server::ExecuteBatch(std::shared_ptr<Conn> conn, int shard_index,
     obs_service_ns_.RecordNs(tree_end_ns - tree_start_ns);
 #if CBTREE_OBS_ENABLED
     // Shared stamps telescope: admit + queue + batch + tree + buffer +
-    // flush == total per request, in exact integer nanoseconds.
-    stage.admit.RecordNs(enqueue_ns - admitted.admit_ns);
-    stage.queue.RecordNs(dequeue_ns - enqueue_ns);
-    stage.batch.RecordNs(tree_start_ns - dequeue_ns);
+    // flush == total per request, in exact integer nanoseconds. The pass
+    // starts where it was submitted, so queue is 0.
+    stage.admit.RecordNs(done.start_ns - admitted.admit_ns);
+    stage.queue.RecordNs(0);
+    stage.batch.RecordNs(tree_start_ns - done.start_ns);
     stage.tree.RecordNs(tree_end_ns - tree_start_ns);
     FlushSpanRequest meta;
     meta.id = request.id;
@@ -1367,30 +1338,45 @@ void Server::ExecuteBatch(std::shared_ptr<Conn> conn, int shard_index,
     meta.shard = shard_index;
     meta.sampled = admitted.sampled;
     meta.admit_ns = admitted.admit_ns;
-    meta.enqueue_ns = enqueue_ns;
-    meta.dequeue_ns = dequeue_ns;
+    meta.start_ns = done.start_ns;
     meta.tree_start_ns = tree_start_ns;
     meta.tree_end_ns = tree_end_ns;
     done.span.requests.push_back(meta);
 #endif
     done.responses.push_back(response);
   }
+  // Ack-after-durable without a waiting thread: a batch whose writes are
+  // not yet durable parks on its last LSN, and the shard's WAL writer posts
+  // it back to this loop right after the group-commit barrier that covers
+  // it, so the loop goes straight on and every write admitted meanwhile
+  // joins the next group. Under --recovery=leaf|naive the trees already
+  // waited latch-held, the LSN is durable, and the acks go out here. The
+  // durable wait lands in stage.buffer (tree end -> buffered) and in
+  // wal.sync_wait_ns.
   if (log == nullptr) {
     CompleteBatch(&done);
     return;
   }
-  // Ack-after-durable without a waiting thread: the batch's acks are parked
-  // on its last LSN and the shard's WAL writer releases them right after the
-  // group-commit barrier that covers it, so this worker goes straight on to
-  // the next batch and every write admitted meanwhile joins the next group.
-  // Under --recovery=leaf|naive the trees already waited latch-held, the
-  // LSN is durable, and the acks go out inline here. The durable wait lands
-  // in stage.buffer (tree end -> buffered) and in wal.sync_wait_ns.
   const uint64_t lsn_after = log->ThreadLastLsn();
-  log->WhenDurable(lsn_after != lsn_before ? lsn_after : 0,
-                   [this, done = std::move(done)]() mutable {
-                     CompleteBatch(&done);
-                   });
+  if (lsn_after == lsn_before || log->DurableLsn() >= lsn_after) {
+    CompleteBatch(&done);
+    return;
+  }
+  log->WhenDurable(lsn_after, [this, done = std::move(done)]() mutable {
+    PostDurable(std::move(done));
+  });
+}
+
+void Server::PostDurable(ExecutedBatch batch) {
+  Loop* loop = batch.conn->loop;
+  bool wake;
+  {
+    MutexLock guard(&loop->mu);
+    // A non-empty inbox already has a wakeup on its way.
+    wake = loop->durable.empty();
+    loop->durable.push_back(std::move(batch));
+  }
+  if (wake) WakeLoop(loop);
 }
 
 void Server::CompleteBatch(ExecutedBatch* batch) {
@@ -1402,82 +1388,75 @@ void Server::CompleteBatch(ExecutedBatch* batch) {
   // (read-your-writes for the admin plane).
   shard.executed.fetch_add(count, std::memory_order_relaxed);
   completed_.fetch_add(count, std::memory_order_relaxed);
-  // One buffer lock for the whole batch: the single-tree-pass analogue on
-  // the write side.
+  // One append and one flush attempt for the whole batch: the
+  // single-tree-pass analogue on the write side.
   SendResponses(batch->conn, batch->responses.data(), batch->responses.size(),
                 /*close_after=*/false, &batch->span);
-  const uint64_t request_ns = ElapsedNs(start_time_) - batch->enqueue_ns;
+  const uint64_t request_ns = ElapsedNs(start_time_) - batch->start_ns;
   for (const AdmittedRequest& admitted : batch->requests) {
     obs_request_ns_.RecordNs(request_ns);
     TraceRequest(obs::TraceEventKind::kOpComplete, admitted.req,
                  static_cast<double>(request_ns) * 1e-9);
   }
   shard.in_flight.fetch_sub(count, std::memory_order_relaxed);
-  // Last: the loops treat in_flight_ == 0 (plus empty buffers) as fully
-  // drained, so the responses must already be appended.
-  in_flight_.fetch_sub(count, std::memory_order_release);
+  batch->conn->loop->acked_this_pass += count;
 }
 
 void Server::SendResponses(const std::shared_ptr<Conn>& conn,
                            const Response* responses, size_t count,
                            bool close_after, FlushSpan* span) {
-  bool handoff = false;
   Conn* c = conn.get();
-  {
-    MutexLock guard(&c->mu);
-    if (c->closed || c->write_error) return;
-    const size_t before = c->write_buffer.size();
-    for (size_t i = 0; i < count; ++i) {
-      AppendResponse(responses[i], &c->write_buffer);
-    }
-    c->appended_total += c->write_buffer.size() - before;
+  if (c->closed) return;
+  const size_t before = c->write_buffer.size();
+  for (size_t i = 0; i < count; ++i) {
+    AppendResponse(responses[i], &c->write_buffer);
+  }
+  c->appended_total += c->write_buffer.size() - before;
 #if CBTREE_OBS_ENABLED
-    if (span != nullptr) {
-      const uint64_t buffered_ns = ElapsedNs(start_time_);
-      for (FlushSpanRequest& meta : span->requests) {
-        meta.buffered_ns = buffered_ns;
-        obs_stage_[static_cast<size_t>(meta.shard)].buffer.RecordNs(
-            buffered_ns - meta.tree_end_ns);
-      }
-      span->end_offset = c->appended_total;
-      c->flush_spans.push_back(std::move(*span));
+  if (span != nullptr) {
+    const uint64_t buffered_ns = ElapsedNs(start_time_);
+    for (FlushSpanRequest& meta : span->requests) {
+      meta.buffered_ns = buffered_ns;
+      obs_stage_[static_cast<size_t>(meta.shard)].buffer.RecordNs(
+          buffered_ns - meta.tree_end_ns);
     }
+    span->end_offset = c->appended_total;
+    c->flush_spans.push_back(std::move(*span));
+  }
 #else
-    (void)span;
+  (void)span;
 #endif
-    // The peak backlog is right after the append, before the flush attempt
-    // below shrinks it.
-    const size_t backlog = c->unflushed();
-    if (backlog > c->write_buffer_hwm) {
-      c->write_buffer_hwm = backlog;
-      size_t loop_hwm =
-          c->loop->write_buffer_hwm.load(std::memory_order_relaxed);
-      while (backlog > loop_hwm &&
-             !c->loop->write_buffer_hwm.compare_exchange_weak(
-                 loop_hwm, backlog, std::memory_order_relaxed)) {
-      }
-    }
-    if (close_after) c->close_after_flush = true;
-    if (!FlushLocked(c)) {
-      handoff = true;  // dead connection: owning loop must reap it
-    } else if (c->unflushed() > 0) {
-      if (c->unflushed() > options_.max_write_buffer) {
-        c->write_error = true;
-        c->slow_consumer = true;
-        slow_consumer_drops_.fetch_add(1, std::memory_order_relaxed);
-        c->loop->slow_consumer_drops.fetch_add(1, std::memory_order_relaxed);
-      }
-      handoff = true;  // owning loop arms EPOLLOUT (or closes)
-    } else if (c->close_after_flush) {
-      handoff = true;  // buffer already empty: owning loop closes
+  // The peak backlog is right after the append, before the flush attempt
+  // below shrinks it.
+  const size_t backlog = c->unflushed();
+  if (backlog > c->write_buffer_hwm) {
+    c->write_buffer_hwm = backlog;
+    if (backlog > c->loop->write_buffer_hwm.load(std::memory_order_relaxed)) {
+      c->loop->write_buffer_hwm.store(backlog, std::memory_order_relaxed);
     }
   }
-  if (handoff) RequestWriteInterest(conn);
+  if (close_after) c->close_after_flush = true;
+  if (!FlushConn(c)) {
+    CloseConn(conn);
+  } else if (c->unflushed() > options_.max_write_buffer) {
+    slow_consumer_drops_.fetch_add(1, std::memory_order_relaxed);
+    c->loop->slow_consumer_drops.fetch_add(1, std::memory_order_relaxed);
+    CloseConn(conn);
+  } else if (c->unflushed() > 0) {
+    SetWriteInterest(c, true);
+  } else if (c->close_after_flush) {
+    CloseConn(conn);
+  }
 }
 
-// The annotation lives on the definition: the declaration in server.h
-// cannot spell conn->mu while Conn is still an incomplete type there.
-bool Server::FlushLocked(Conn* conn) CBTREE_REQUIRES(conn->mu) {
+void Server::BufferResponse(Conn* conn, const Response& response) {
+  if (conn->closed) return;
+  const size_t before = conn->write_buffer.size();
+  AppendResponse(response, &conn->write_buffer);
+  conn->appended_total += conn->write_buffer.size() - before;
+}
+
+bool Server::FlushConn(Conn* conn) {
   while (conn->unflushed() > 0) {
     ssize_t n = send(conn->fd, conn->write_buffer.data() + conn->write_pos,
                      conn->unflushed(), MSG_NOSIGNAL);
@@ -1490,24 +1469,30 @@ bool Server::FlushLocked(Conn* conn) CBTREE_REQUIRES(conn->mu) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      CompleteFlushedSpansLocked(conn);
+      CompleteFlushedSpans(conn);
       return true;
     }
-    conn->write_error = true;  // EPIPE/ECONNRESET/...: reap via handoff
-    CompleteFlushedSpansLocked(conn);  // spans already on the wire complete
-    return false;
+    CompleteFlushedSpans(conn);  // spans already on the wire complete
+    return false;                // EPIPE/ECONNRESET/...
   }
   if (conn->write_pos > 0) {
     conn->write_buffer.clear();
     conn->write_pos = 0;
   }
-  CompleteFlushedSpansLocked(conn);
+  CompleteFlushedSpans(conn);
   return true;
 }
 
-// Annotated on the definition, like FlushLocked.
-void Server::CompleteFlushedSpansLocked(Conn* conn)
-    CBTREE_REQUIRES(conn->mu) {
+void Server::SetWriteInterest(Conn* conn, bool on) {
+  if (conn->write_armed == on) return;
+  conn->write_armed = on;
+  epoll_event ev = {};
+  ev.events = on ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
+  ev.data.fd = conn->fd;
+  epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+}
+
+void Server::CompleteFlushedSpans(Conn* conn) {
 #if CBTREE_OBS_ENABLED
   if (conn->flush_spans.empty() ||
       conn->flush_spans.front().end_offset > conn->flushed_total) {
@@ -1542,9 +1527,9 @@ void Server::EmitStageWaterfall(const FlushSpanRequest& span,
     uint64_t end_ns;
   };
   const StageEdge stages[] = {
-      {"admit", span.admit_ns, span.enqueue_ns},
-      {"queue", span.enqueue_ns, span.dequeue_ns},
-      {"batch", span.dequeue_ns, span.tree_start_ns},
+      {"admit", span.admit_ns, span.start_ns},
+      {"queue", span.start_ns, span.start_ns},
+      {"batch", span.start_ns, span.tree_start_ns},
       {"tree", span.tree_start_ns, span.tree_end_ns},
       {"buffer", span.tree_end_ns, span.buffered_ns},
       {"flush", span.buffered_ns, flushed_ns},
@@ -1568,52 +1553,23 @@ void Server::EmitStageWaterfall(const FlushSpanRequest& span,
   }
 }
 
-void Server::RequestWriteInterest(const std::shared_ptr<Conn>& conn) {
-  if (conn->handoff_queued.exchange(true, std::memory_order_acq_rel)) return;
-  Loop* loop = conn->loop;
-  {
-    MutexLock guard(&loop->mu);
-    loop->pending_write.push_back(conn);
-  }
-  WakeLoop(loop);
-}
-
 void Server::HandleWritable(const std::shared_ptr<Conn>& conn) {
-  bool close_now = false;
-  bool drained = false;
-  Conn* c = conn.get();
-  {
-    MutexLock guard(&c->mu);
-    if (c->closed) return;
-    if (!FlushLocked(c)) {
-      close_now = true;
-    } else if (c->unflushed() == 0) {
-      drained = true;
-      close_now = c->close_after_flush;
-    }
-  }
-  if (close_now) {
+  if (conn->closed) return;
+  if (!FlushConn(conn.get())) {
     CloseConn(conn);
-    return;
-  }
-  if (drained) {
-    epoll_event ev = {};
-    ev.events = EPOLLIN;
-    ev.data.fd = conn->fd;
-    epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+  } else if (conn->unflushed() == 0) {
+    if (conn->close_after_flush) {
+      CloseConn(conn);
+    } else {
+      SetWriteInterest(conn.get(), false);
+    }
   }
 }
 
 void Server::CloseConn(const std::shared_ptr<Conn>& conn) {
-  int fd;
-  {
-    MutexLock guard(&conn->mu);
-    if (conn->closed) return;
-    conn->closed = true;
-    fd = conn->fd;
-  }
-  // Any worker that grabs conn->mu from here on sees closed and never
-  // touches the fd, so the close cannot race a send.
+  if (conn->closed) return;
+  conn->closed = true;
+  const int fd = conn->fd;
   Loop* loop = conn->loop;
   epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   close(fd);
@@ -1623,19 +1579,17 @@ void Server::CloseConn(const std::shared_ptr<Conn>& conn) {
 }
 
 bool Server::LoopIdle(Loop* loop) {
-  // in_flight_ is server-wide: no loop exits while any shard worker still
-  // owes a response to any connection, so a response for one of THIS loop's
-  // conns cannot appear after the check below.
+  // in_flight_ is server-wide and a batch leaves it only once its owning
+  // loop has acknowledged it, so no loop exits while any ack is executing,
+  // parked on a log, or posted to an inbox.
   if (in_flight_.load(std::memory_order_acquire) != 0) return false;
   {
     MutexLock guard(&loop->mu);
-    if (!loop->pending_write.empty()) return false;
     if (!loop->adopted_fds.empty()) return false;
   }
   for (auto& [fd, conn] : loop->conns) {
     (void)fd;
-    MutexLock guard(&conn->mu);
-    if (!conn->closed && conn->unflushed() > 0) return false;
+    if (conn->unflushed() > 0) return false;
   }
   return true;
 }

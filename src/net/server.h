@@ -3,28 +3,39 @@
 // net/protocol.h.
 //
 // Scaling model: the key space is hash-partitioned across `shards`
-// independent trees (ShardOfKey in protocol.h), and each shard owns a
-// dedicated worker pool — an operation on shard s always executes on one of
-// s's workers (per-shard affinity), so shards never contend on each other's
-// latches. `loops` event-loop threads each own their own epoll set, wake
-// eventfd, and connection read sides. Every loop binds its own listen
-// socket to the same port via SO_REUSEPORT so the kernel spreads accepts
-// across loops; where that fails (or when forced for tests), loop 0 owns
-// the single listen fd and hands accepted fds to the other loops
-// round-robin.
+// independent trees (ShardOfKey in protocol.h). Shards are data partitions,
+// not thread partitions: `loops` event-loop threads each own their own epoll
+// set, wake eventfd and connections, and run every batch they decode to
+// completion themselves, on whichever shard's tree its keys map to. Every
+// loop binds its own listen socket to the same port via SO_REUSEPORT so the
+// kernel spreads accepts across loops; where that fails (or when forced for
+// tests), loop 0 owns the single listen fd and hands accepted fds to the
+// other loops round-robin.
 //
 // Batching: while draining one connection's read buffer, adjacent admitted
-// requests that map to the same shard are grouped into a single worker
-// task — one tree pass executes the whole group and appends every response
-// under one buffer lock, amortizing handoff and wakeup costs for pipelined
-// clients. Groups never span shards or connections, and responses still
-// carry ids because completion remains out of order across groups.
+// requests that map to the same shard are grouped into one batch — one tree
+// pass on the loop executes the whole group and appends every response to
+// the connection's write buffer at once. Groups never span shards or
+// connections, and responses still carry ids because a write batch whose
+// acks wait for durability completes after later batches.
+//
+// Durability: with the write-ahead log on, a write batch's acks park on its
+// last LSN; once that LSN is durable, the shard's log writer posts the
+// executed batch to the owning loop's inbox and wakes the loop, which sends
+// the acks. Only the owning loop ever touches a connection (and Shutdown,
+// once every loop has exited).
 //
 // Backpressure: a single server-wide admission budget (`max_inflight`)
 // spans all loops and shards; frames beyond it are answered kRejected with
 // a retry hint — the service-level analogue of the paper's saturation
 // point: past it an open system's queue grows without bound, so the server
-// sheds load instead of queueing.
+// sheds load instead of queueing. A loop holds the budget of everything it
+// takes in during one pass over its ready connections until the pass ends
+// (and a parked write batch holds it until acked): while a pass runs, new
+// arrivals pile up in the sockets, the next pass reads them all at once,
+// and past saturation that backlog outgrows the budget and is rejected.
+// Rejections are buffered and flushed once per read, so shedding a frame
+// costs the loop less than serving it.
 //
 // Graceful drain: Shutdown() (or a SignalDrain trigger wired in by the
 // caller) stops accepting on every loop, answers new frames with
@@ -56,7 +67,6 @@
 #include "obs/registry.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "runner/thread_pool.h"
 #include "wal/log_writer.h"
 
 namespace cbtree {
@@ -72,21 +82,19 @@ struct ServerOptions {
   /// value hits the same key space. Each key lands in its ShardOfKey shard.
   uint64_t preload_items = 0;
   uint64_t seed = 1;
-  /// Independent trees the key space is hash-partitioned across; each shard
-  /// gets its own dedicated worker pool (affinity).
+  /// Independent trees the key space is hash-partitioned across.
   int shards = 1;
   /// Event-loop threads; each owns an epoll set and (with SO_REUSEPORT) its
-  /// own listen socket on the shared port.
+  /// own listen socket on the shared port, and executes the batches it
+  /// decodes.
   int loops = 1;
-  /// Total worker threads, divided across the shard pools (at least one
-  /// worker per shard).
-  int workers = 4;
   /// Largest run of adjacent same-shard requests from one connection that
   /// is batched into a single tree pass.
   size_t max_batch = 32;
-  /// Admission budget: requests admitted (queued + executing) at once,
-  /// server-wide. Frames beyond it are rejected with a retry hint, never
-  /// queued.
+  /// Admission budget, server-wide: requests admitted during the loops'
+  /// current passes over their ready connections plus those whose acks
+  /// await durability. Frames beyond it are rejected with a retry hint,
+  /// never queued.
   size_t max_inflight = 1024;
   /// Retry hint returned with kRejected, in microseconds.
   int64_t retry_hint_us = 1000;
@@ -123,9 +131,9 @@ struct ServerOptions {
   /// keyed by request id) to `trace`, rendering as a per-request waterfall.
   /// 0 = off.
   uint64_t trace_sample = 0;
-  /// Test-only: run in the worker before each tree operation (e.g. a sleep
-  /// to saturate the admission budget deterministically).
-  std::function<void(const Request&)> worker_delay_hook;
+  /// Test-only: runs on the executing loop before each tree operation (e.g.
+  /// a sleep that stretches service time so load overruns the budget).
+  std::function<void(const Request&)> exec_delay_hook;
 
   /// Durability. Non-empty enables the write-ahead log: on Start the server
   /// recovers `wal_dir/shard-<s>/` into each shard's tree (validating CRCs,
@@ -149,7 +157,7 @@ struct ServerOptions {
 /// One shard's slice of the work (indexes match ShardOfKey).
 struct ShardServerStats {
   uint64_t executed = 0;          ///< tree operations completed here
-  uint64_t batches = 0;           ///< worker tasks (tree passes) run
+  uint64_t batches = 0;           ///< batches (tree passes) run on loops
   uint64_t batched_requests = 0;  ///< requests that shared a pass (size > 1)
   size_t tree_size = 0;           ///< keys in this shard's tree
 };
@@ -221,16 +229,15 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, preloads the shard trees, and spawns the event loops
-  /// and the per-shard worker pools. Returns false (with *error filled) on
-  /// socket failure.
+  /// Binds, listens, preloads the shard trees, and spawns the event loops.
+  /// Returns false (with *error filled) on socket failure.
   bool Start(std::string* error);
 
   /// Port actually bound (valid after Start).
   int port() const { return port_; }
 
   /// Begins the graceful drain and blocks until every event loop has exited
-  /// and all shard workers are joined. Idempotent.
+  /// and every shard log is closed. Idempotent.
   void Shutdown();
 
   /// True until the last event loop exits (Shutdown() or a fatal error).
@@ -297,7 +304,7 @@ class Server {
     bool sampled = false;  ///< emit a stage waterfall for this request
   };
 
-  /// Adjacent same-shard admitted requests awaiting one worker submission.
+  /// Adjacent same-shard admitted requests awaiting one tree pass.
   struct Batch {
     int shard = -1;
     std::vector<AdmittedRequest> requests;
@@ -312,8 +319,7 @@ class Server {
     int shard = 0;
     bool sampled = false;
     uint64_t admit_ns = 0;
-    uint64_t enqueue_ns = 0;
-    uint64_t dequeue_ns = 0;
+    uint64_t start_ns = 0;  ///< the batch's tree pass began
     uint64_t tree_start_ns = 0;
     uint64_t tree_end_ns = 0;
     uint64_t buffered_ns = 0;
@@ -323,12 +329,13 @@ class Server {
     std::vector<FlushSpanRequest> requests;
   };
 
-  /// One executed batch whose acks wait for its writes to become durable:
-  /// everything CompleteBatch needs, moved into the WhenDurable callback.
+  /// One executed batch: everything CompleteBatch needs. When its writes
+  /// are not yet durable it moves into a WhenDurable callback, and from there
+  /// into the owning loop's inbox.
   struct ExecutedBatch {
     std::shared_ptr<Conn> conn;
     int shard = 0;
-    uint64_t enqueue_ns = 0;
+    uint64_t start_ns = 0;
     std::vector<AdmittedRequest> requests;
     std::vector<Response> responses;
     FlushSpan span;  ///< stage metadata (left empty when obs is compiled out)
@@ -338,12 +345,16 @@ class Server {
   /// end-to-end total are recorded from shared timestamps, so per request
   /// admit + queue + batch + tree + buffer + flush == total in exact
   /// integer ns (the telescoping identity tests/net_stats_test.cc checks).
+  /// A batch runs on the loop that decoded it, so one stamp is both its
+  /// submission and its start, and `queue` is 0 by construction; the name
+  /// stays because readers key on the six stage names.
   struct StageTimers {
-    obs::Timer admit;   ///< admission -> batch submitted to the shard pool
-    obs::Timer queue;   ///< submitted -> a shard worker dequeues the batch
-    obs::Timer batch;   ///< dequeued -> this request's own tree pass starts
+    obs::Timer admit;   ///< admission -> the batch's tree pass begins
+    obs::Timer queue;   ///< always 0: nothing sits between submit and start
+    obs::Timer batch;   ///< pass begins -> this request's own op starts
     obs::Timer tree;    ///< the tree operation itself
-    obs::Timer buffer;  ///< tree done -> durable -> response bytes buffered
+    obs::Timer buffer;  ///< tree done -> durable -> back on the loop ->
+                        ///< response bytes buffered
     obs::Timer flush;   ///< buffered -> last byte handed to the kernel
     obs::Timer total;   ///< admission -> flushed
   };
@@ -360,31 +371,31 @@ class Server {
   /// after the error reply flushes).
   bool DrainReadBuffer(const std::shared_ptr<Conn>& conn);
   /// Admission control for one decoded frame: answers rejects inline, or
-  /// appends to `batch` (flushing it first when the shard changes or the
+  /// appends to `batch` (running it first when the shard changes or the
   /// batch is full).
   void Admit(const std::shared_ptr<Conn>& conn, const Request& request,
              Batch* batch);
   /// Answers a kStats admin frame inline on the event loop: never enters
-  /// the admission budget or a shard pool, and is counted in
-  /// stats_requests_, not requests_received_.
+  /// the admission budget or a batch, and is counted in stats_requests_,
+  /// not requests_received_.
   void HandleStatsRequest(const std::shared_ptr<Conn>& conn,
                           const Request& request);
-  /// Submits the pending batch (if any) to its shard's worker pool.
+  /// Runs the pending batch (if any) to completion on this loop: one tree
+  /// pass, then its acks go out at once, or, when its writes are not yet
+  /// durable, park on the shard log until the writer posts them back here.
   void FlushBatch(const std::shared_ptr<Conn>& conn, Batch* batch);
-  /// Runs one batch's tree pass on a shard worker, then hands its acks to
-  /// the shard log's WhenDurable: the worker never waits for durability.
-  void ExecuteBatch(std::shared_ptr<Conn> conn, int shard_index,
-                    std::vector<AdmittedRequest> requests,
-                    uint64_t enqueue_ns);
   /// Acknowledges a batch whose writes are durable: counts completions,
-  /// buffers the responses, and releases the batch's admission budget last.
-  /// Runs on the worker (nothing to wait for) or the shard's WAL writer.
+  /// buffers the responses, and adds the batch's admission budget to its
+  /// loop's acked_this_pass, released when the pass ends. Runs on the
+  /// owning loop, or in Shutdown once every loop has exited.
   void CompleteBatch(ExecutedBatch* batch);
-  /// Appends (and opportunistically flushes) responses under one buffer
-  /// lock; safe from any thread. `close_after` poisons the connection once
-  /// the buffer drains. `span` (optional) carries the stage metadata of
-  /// these responses; it is stamped `buffered` under the lock and queued
-  /// for completion when the bytes flush.
+  /// WhenDurable callback (a shard's WAL writer thread): hands the batch to
+  /// its connection's loop and wakes it.
+  void PostDurable(ExecutedBatch batch);
+  /// Appends (and opportunistically flushes) responses. `close_after`
+  /// closes the connection once the buffer drains. `span` (optional)
+  /// carries the stage metadata of these responses; it is stamped
+  /// `buffered` and queued for completion when the bytes flush.
   void SendResponses(const std::shared_ptr<Conn>& conn,
                      const Response* responses, size_t count,
                      bool close_after = false, FlushSpan* span = nullptr);
@@ -392,19 +403,21 @@ class Server {
                     const Response& response, bool close_after = false) {
     SendResponses(conn, &response, 1, close_after);
   }
-  void RequestWriteInterest(const std::shared_ptr<Conn>& conn);
-  /// Flushes conn->write_buffer with non-blocking sends; must hold conn->mu.
-  /// Returns false if the connection died mid-write.
-  bool FlushLocked(Conn* conn);
+  /// Appends one response without a flush attempt; the caller makes sure
+  /// a flush follows (DrainReadBuffer does, once per read).
+  void BufferResponse(Conn* conn, const Response& response);
+  /// Flushes conn->write_buffer with non-blocking sends. Returns false if
+  /// the connection died mid-write.
+  bool FlushConn(Conn* conn);
+  /// Arms (or disarms) EPOLLOUT for a connection with unflushed bytes.
+  void SetWriteInterest(Conn* conn, bool on);
   void TraceConn(obs::TraceEventKind kind, uint64_t conn_id);
   void TraceRequest(obs::TraceEventKind kind, const Request& request,
                     double seconds);
   /// Records flush/total stage timers (and emits sampled waterfalls) for
-  /// every span whose bytes have fully reached the kernel; must hold
-  /// conn->mu (annotated on the definition).
-  void CompleteFlushedSpansLocked(Conn* conn);
-  /// Emits the five stage_begin/stage_end span pairs of one sampled
-  /// request.
+  /// every span whose bytes have fully reached the kernel.
+  void CompleteFlushedSpans(Conn* conn);
+  /// Emits the six stage_begin/stage_end span pairs of one sampled request.
   void EmitStageWaterfall(const FlushSpanRequest& span, uint64_t flushed_ns);
   /// Loop 0's periodic sampler: records one interval into the ring and
   /// appends it to the stats file.
@@ -430,16 +443,6 @@ class Server {
   std::vector<std::unique_ptr<Loop>> loops_;
   /// Serializes Shutdown against itself (signal-driven drain vs the
   /// destructor) and guards the final-snapshot state below.
-  ///
-  /// Lock ordering across the serving plane (never violated; the acyclic
-  /// order is what TSA cannot fully spell, so it is recorded here):
-  ///   shutdown_mu_  >  Loop::mu  >  Conn::mu  >  obs internals
-  /// where ">" means "may be held when acquiring". In today's code the
-  /// first three are never actually nested — every path swaps shared
-  /// vectors out under one mutex, releases it, then locks the next — and
-  /// the obs registry/snapshot-ring mutexes are leaves (acquired last,
-  /// nothing taken under them). Conn::mu declares its edge with
-  /// CBTREE_ACQUIRED_AFTER, the one case the attribute can express.
   Mutex shutdown_mu_;
   std::chrono::steady_clock::time_point start_time_;
 

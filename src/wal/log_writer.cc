@@ -21,10 +21,12 @@ namespace wal {
 namespace {
 
 // The most recent log this thread appended to, and the LSN it got. One slot
-// per thread is enough: shard workers have per-shard affinity, so a worker
-// only ever talks to one log (a thread that alternates logs — tests, the
-// preload loop — sees last-write-wins and must pair Append with WaitDurable
-// promptly or use SyncAll).
+// per thread is enough: a server event loop runs each batch on one shard
+// and reads the slot right after the pass, so every append it asks about
+// went to that shard's log, even when the loop serves several shards (a
+// thread that alternates logs between reads — tests, the preload loop —
+// sees last-write-wins and must pair Append with WaitDurable promptly or
+// use SyncAll).
 struct TlsLastAppend {
   const ShardLog* log = nullptr;
   uint64_t lsn = 0;

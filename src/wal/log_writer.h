@@ -1,6 +1,6 @@
 // Per-shard append-only log with group commit.
 //
-// Appenders (the shard's worker threads) serialize records into an in-memory
+// Appenders (the server's event loops) serialize records into an in-memory
 // buffer under the log mutex and return immediately with their LSN; a
 // dedicated log-writer thread cuts the group once its first record has
 // waited out a configurable coalescing window (`group_commit_us`), so
@@ -23,8 +23,8 @@
 // fsync. Two ways to wait for it: WaitDurable(lsn) blocks the caller (the
 // trees' latch-held §7 retention waits), and WhenDurable(lsn, callback)
 // parks a callback that the writer thread runs right after the advance
-// covering `lsn` — the server releases its acks this way, so no worker
-// thread ever sits out a barrier.
+// covering `lsn` — the server releases its acks this way, so no event loop
+// ever sits out a barrier.
 //
 // All file I/O — open/fallocate/write/fsync/ftruncate/close — happens on
 // the writer thread and in Open/Close; tree code must go through

@@ -33,7 +33,6 @@ ServerOptions LoopbackOptions(Algorithm algorithm) {
   options.host = "127.0.0.1";
   options.port = 0;  // ephemeral
   options.algorithm = algorithm;
-  options.workers = 4;
   options.drain_timeout_ms = 10000;
   return options;
 }
@@ -110,7 +109,7 @@ TEST(NetServerTest, PipelinedRequestsAllComeBack) {
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
 
-  // Fire a burst without reading; workers may answer out of order.
+  // Fire a burst without reading; replies are matched by id.
   constexpr uint64_t kBurst = 200;
   for (uint64_t i = 0; i < kBurst; ++i) {
     Request request;
@@ -209,51 +208,66 @@ TEST(NetServerTest, GarbageOpcodeInsideValidLengthIsABadFrame) {
 }
 
 TEST(NetServerTest, BackpressureRejectsBeyondTheAdmissionBudget) {
-  ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
-  options.workers = 2;
-  options.max_inflight = 8;
-  options.retry_hint_us = 777;
-  // Stall every worker long enough that a burst overruns the budget
-  // deterministically.
-  options.worker_delay_hook = [](const Request&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // A loop holds the budget of every frame it takes in during one pass
+  // over its ready connections until the pass ends, so a read holding more
+  // frames than the budget rejects the excess. Each tree operation stalls
+  // the loop, so whatever part of the burst the first read missed piles up
+  // in the socket and arrives in one read. The second case has a budget
+  // larger than a batch: the budget of answered batches must not come back
+  // before the pass ends, or in-flight would never exceed one batch.
+  struct Case {
+    size_t max_inflight;
+    size_t max_batch;
+    int delay_ms;
+    uint64_t burst;
   };
-  Server server(options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  for (const Case& c : {Case{8, 32, 50, 64}, Case{40, 4, 2, 200}}) {
+    SCOPED_TRACE("max_inflight=" + std::to_string(c.max_inflight) +
+                 " max_batch=" + std::to_string(c.max_batch));
+    ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
+    options.max_inflight = c.max_inflight;
+    options.max_batch = c.max_batch;
+    options.retry_hint_us = 777;
+    const int delay_ms = c.delay_ms;
+    options.exec_delay_hook = [delay_ms](const Request&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    };
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
 
-  constexpr uint64_t kBurst = 64;
-  for (uint64_t i = 0; i < kBurst; ++i) {
-    Request request;
-    request.op = OpCode::kSearch;
-    request.id = i + 1;
-    request.key = 1;
-    ASSERT_TRUE(client.Send(request));
-  }
-  uint64_t completed = 0, rejected = 0;
-  for (uint64_t i = 0; i < kBurst; ++i) {
-    Response response;
-    ASSERT_TRUE(client.Receive(&response));
-    if (response.status == Status::kRejected) {
-      ++rejected;
-      EXPECT_EQ(response.value, 777);  // retry hint rides in `value`
-    } else {
-      ++completed;
-      EXPECT_EQ(response.status, Status::kNotFound);
+    for (uint64_t i = 0; i < c.burst; ++i) {
+      Request request;
+      request.op = OpCode::kSearch;
+      request.id = i + 1;
+      request.key = 1;
+      ASSERT_TRUE(client.Send(request));
     }
+    uint64_t completed = 0, rejected = 0;
+    for (uint64_t i = 0; i < c.burst; ++i) {
+      Response response;
+      ASSERT_TRUE(client.Receive(&response));
+      if (response.status == Status::kRejected) {
+        ++rejected;
+        EXPECT_EQ(response.value, 777);  // retry hint rides in `value`
+      } else {
+        ++completed;
+        EXPECT_EQ(response.status, Status::kNotFound);
+      }
+    }
+    // Every request was answered exactly once, and the budget really did
+    // both admit and shed load.
+    EXPECT_EQ(completed + rejected, c.burst);
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GE(completed, options.max_inflight);
+    client.Close();
+    server.Shutdown();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.completed, completed);
+    EXPECT_EQ(stats.rejected, rejected);
   }
-  // Every request was answered exactly once, and the budget really did both
-  // admit and shed load.
-  EXPECT_EQ(completed + rejected, kBurst);
-  EXPECT_GT(rejected, 0u);
-  EXPECT_GE(completed, options.max_inflight);
-  client.Close();
-  server.Shutdown();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.completed, completed);
-  EXPECT_EQ(stats.rejected, rejected);
 }
 
 TEST(NetServerTest, ConcurrentClientsKeepTheTreeConsistent) {
@@ -387,9 +401,8 @@ TEST(NetServerTest, DriverAccountingIsLossFree) {
 
 TEST(NetServerTest, DriverSeesBackpressureAsRejectionsNotLosses) {
   ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
-  options.workers = 2;
   options.max_inflight = 4;
-  options.worker_delay_hook = [](const Request&) {
+  options.exec_delay_hook = [](const Request&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   };
   Server server(options);
@@ -399,8 +412,10 @@ TEST(NetServerTest, DriverSeesBackpressureAsRejectionsNotLosses) {
   DriveOptions drive;
   drive.host = "127.0.0.1";
   drive.port = server.port();
-  // Offered load (~400/s) far beyond service capacity (2 workers * 50/s):
-  // the open-loop driver must keep sending and count rejections, not stall.
+  // Offered load (~400/s) far beyond service capacity (one loop * 50/s):
+  // while the loop runs a pass, arrivals pile up in the sockets, and the
+  // next pass admits at most 4 of them and rejects the rest. The open-loop
+  // driver must keep sending and count rejections, not stall.
   drive.lambda = 400.0;
   drive.duration_seconds = 1.0;
   drive.connections = 2;
@@ -486,15 +501,15 @@ bool WaitFor(Pred done) {
   return true;
 }
 
-// One shard, one worker, a 200 ms group-commit window: a write batch's ack
-// parks on the log, and the lone worker is free to answer a read-only batch
+// One shard, one loop, a 200 ms group-commit window: a write batch's ack
+// parks on the log, and the lone loop is free to answer a read-only batch
 // from another connection while the write still waits for its barrier.
 TEST(NetServerWalTest, ReadsAreAnsweredWhileAWriteWaitsForDurability) {
   TempWalDir dir;
   ServerOptions options = WalServerOptions(
       dir.path(), RecoveryPolicy::kNone, /*group_commit_us=*/200000);
   options.shards = 1;
-  options.workers = 1;
+  options.loops = 1;
   Server server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -582,7 +597,6 @@ TEST(NetServerWalTest, DrainWithParkedAcksAnswersEveryAdmittedRequest) {
       dir.path(), RecoveryPolicy::kNone, /*group_commit_us=*/500000);
   options.shards = 2;
   options.loops = 2;
-  options.workers = 2;
   Server server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
@@ -633,6 +647,144 @@ TEST(NetServerWalTest, DrainWithParkedAcksAnswersEveryAdmittedRequest) {
   EXPECT_GE(server.wal_log(0)->DurableLsn() + server.wal_log(1)->DurableLsn(),
             acked);
   SignalDrain::ResetForTest();
+}
+
+// A drain that times out while acks are still parked: the group-commit
+// window (2 s) outlasts the drain deadline (100 ms), so every loop exits
+// with its connections' acks still on the logs. Shutdown closes the logs,
+// which release the acks into inboxes no loop will read again; Shutdown
+// then completes them itself, counted, sending nothing (the ASan and TSAN
+// runs of this suite check that no ack touches a closed connection).
+TEST(NetServerWalTest, DrainTimeoutCompletesParkedAcksInShutdown) {
+  TempWalDir dir;
+  ServerOptions options = WalServerOptions(
+      dir.path(), RecoveryPolicy::kNone, /*group_commit_us=*/2000000);
+  options.shards = 2;
+  options.loops = 2;
+  options.force_accept_round_robin = true;  // connections alternate loops
+  options.drain_timeout_ms = 100;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  constexpr int kClients = 4;
+  constexpr uint64_t kPerClient = 10;
+  std::vector<Client> clients(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(clients[c].Connect("127.0.0.1", server.port(), &error))
+        << error;
+    for (uint64_t i = 0; i < kPerClient; ++i) {
+      Request request;
+      request.op = OpCode::kInsert;
+      request.id = i + 1;
+      request.key = static_cast<Key>(c * kPerClient + i + 1);
+      request.value = 1;
+      ASSERT_TRUE(clients[c].Send(request));
+    }
+  }
+  auto appended = [&] {
+    return server.wal_log(0)->stats().appends.load() +
+           server.wal_log(1)->stats().appends.load();
+  };
+  ASSERT_TRUE(WaitFor([&] { return appended() == kClients * kPerClient; }));
+  const ServerStats before = server.stats();
+  EXPECT_GT(before.loops[0].requests_received, 0u);
+  EXPECT_GT(before.loops[1].requests_received, 0u);
+  EXPECT_EQ(before.completed, 0u) << "an ack left before its barrier";
+
+  const auto started = std::chrono::steady_clock::now();
+  server.Shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(10));
+  EXPECT_FALSE(server.running());
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_received, kClients * kPerClient);
+  EXPECT_EQ(stats.completed, kClients * kPerClient);
+  EXPECT_EQ(stats.requests_received,
+            stats.completed + stats.rejected + stats.shutdown_rejected);
+  EXPECT_EQ(server.MergedSnapshot().gauges.at("srv.in_flight"), 0);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(server.wal_log(s)->DurableLsn(),
+              server.wal_log(s)->stats().appends.load())
+        << "shard " << s << " left an appended record short of durable";
+  }
+  // The acks were parked past the deadline, so none went out: every
+  // connection was closed with its replies unsent.
+  for (Client& client : clients) {
+    Response response;
+    EXPECT_EQ(client.ReceivePoll(&response, 1000), -1);
+  }
+}
+
+// One loop, two shards with their own logs, a 200 ms window: a write parked
+// on shard A's log does not hold up a read of shard B, and each write is
+// acknowledged only after its own log's barrier. The loop appends to both
+// logs, so each batch's LSN must come from the log it wrote.
+TEST(NetServerWalTest, OneLoopServesTwoShardLogs) {
+  TempWalDir dir;
+  ServerOptions options = WalServerOptions(
+      dir.path(), RecoveryPolicy::kNone, /*group_commit_us=*/200000);
+  options.shards = 2;
+  options.loops = 1;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Key key_a = 1;
+  while (ShardOfKey(key_a, 2) != 0) ++key_a;
+  Key key_b = key_a + 1;
+  while (ShardOfKey(key_b, 2) != 1) ++key_b;
+  const wal::ShardLog* log_a = server.wal_log(0);
+  const wal::ShardLog* log_b = server.wal_log(1);
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  Request write_a;
+  write_a.op = OpCode::kInsert;
+  write_a.id = 1;
+  write_a.key = key_a;
+  write_a.value = 10;
+  ASSERT_TRUE(client.Send(write_a));
+  ASSERT_TRUE(WaitFor([&] { return log_a->stats().appends.load() == 1; }));
+
+  Request read_b;
+  read_b.op = OpCode::kSearch;
+  read_b.id = 2;
+  read_b.key = key_b;
+  ASSERT_TRUE(client.Send(read_b));
+  Response response;
+  ASSERT_EQ(client.ReceivePoll(&response, 10000), 1);
+  EXPECT_EQ(response.id, 2u);
+  EXPECT_EQ(response.status, Status::kNotFound);
+  EXPECT_LT(log_a->DurableLsn(), 1u)
+      << "the read waited for shard A's barrier";
+
+  Request write_b;
+  write_b.op = OpCode::kInsert;
+  write_b.id = 3;
+  write_b.key = key_b;
+  write_b.value = 30;
+  ASSERT_TRUE(client.Send(write_b));
+  ASSERT_TRUE(WaitFor([&] { return log_b->stats().appends.load() == 1; }));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(client.ReceivePoll(&response, 10000), 1);
+    EXPECT_EQ(response.status, Status::kInserted);
+    if (response.id == 1) {
+      EXPECT_GE(log_a->DurableLsn(), 1u)
+          << "shard A's write acknowledged before its barrier";
+    } else {
+      EXPECT_EQ(response.id, 3u);
+      EXPECT_GE(log_b->DurableLsn(), 1u)
+          << "shard B's write acknowledged before its barrier";
+    }
+  }
+  client.Close();
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.wal.appends, 2u);
+  EXPECT_EQ(stats.shards[0].tree_size, 1u);
+  EXPECT_EQ(stats.shards[1].tree_size, 1u);
 }
 
 }  // namespace

@@ -36,7 +36,6 @@ ServerOptions ShardedOptions(Algorithm algorithm, int shards, int loops) {
   options.algorithm = algorithm;
   options.shards = shards;
   options.loops = loops;
-  options.workers = 4;
   options.drain_timeout_ms = 10000;
   return options;
 }

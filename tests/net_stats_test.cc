@@ -41,7 +41,6 @@ ServerOptions LoopbackOptions(Algorithm algorithm) {
   options.host = "127.0.0.1";
   options.port = 0;  // ephemeral
   options.algorithm = algorithm;
-  options.workers = 4;
   options.drain_timeout_ms = 10000;
   return options;
 }
@@ -380,6 +379,10 @@ TEST(NetStatsTest, StageHistogramsTelescopeToEndToEndLatency) {
     // The stages partition [admit, flushed] with shared endpoints, so their
     // masses telescope to the end-to-end total exactly, in integer ns.
     EXPECT_EQ(stage_sum, total.total_ns) << "shard " << s;
+    // A batch runs on the loop that decoded it: nothing sits between its
+    // submission and its start.
+    EXPECT_EQ(snapshot.timers.at("stage.queue" + suffix).total_ns, 0u)
+        << "shard " << s;
     total_count += total.count;
   }
   EXPECT_EQ(total_count, kOps);

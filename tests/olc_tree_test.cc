@@ -308,7 +308,6 @@ TEST(OlcServerTest, ShardedServingWithDeleteHeavyTrafficMatchesOracle) {
   options.algorithm = Algorithm::kOlc;
   options.shards = kShards;
   options.loops = 2;
-  options.workers = 4;
   options.node_size = 4;  // small nodes: unlinks fire during serving
   options.drain_timeout_ms = 10000;
   net::Server server(options);

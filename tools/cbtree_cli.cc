@@ -8,7 +8,7 @@
 //   cbtree rules     [tree flags]
 //   cbtree simulate  --algorithm=link --lambda=0.3 [--seeds=5 --ops=10000]
 //   cbtree stress    --protocol=link --threads=8 [--stress_ops=100000]
-//   cbtree serve     --protocol=blink --port=7070 [--workers=4 --queue=1024]
+//   cbtree serve     --protocol=blink --port=7070 [--loops=2 --queue=1024]
 //   cbtree drive     --port=7070 --lambda=2000 --duration=5s [--connections=4]
 //   cbtree stat      --port=7070 [--json]
 //
@@ -98,7 +98,7 @@ struct CommonOptions {
   std::string protocol;  // alias of --algorithm, adds "blink"
   std::string host = "127.0.0.1";
   int port = 7070;
-  int workers = 4;
+  int workers = 4;  // ignored; see the flag's help
   int shards = 1;
   int loops = 1;
   uint64_t batch = 32;
@@ -160,7 +160,9 @@ struct CommonOptions {
     flags->Register("host", &host, "serve/drive address");
     flags->Register("port", &port, "serve/drive TCP port (0 = ephemeral)");
     flags->Register("workers", &workers,
-                    "serve worker threads total (divided across shards)");
+                    "ignored: serve runs each batch on the event loop that "
+                    "decoded it (see --loops); still accepted so existing "
+                    "command lines keep working");
     flags->Register("shards", &shards,
                     "serve: independent trees the key space is "
                     "hash-partitioned across; drive: shard count of the "
@@ -730,7 +732,6 @@ int CmdServe(const CommonOptions& options) {
   server_options.node_size = options.node_size;
   server_options.preload_items = options.items;
   server_options.seed = options.seed;
-  server_options.workers = std::max(1, options.workers);
   server_options.shards = std::max(1, options.shards);
   server_options.loops = std::max(1, options.loops);
   server_options.max_batch = std::max<uint64_t>(1, options.batch);
@@ -755,11 +756,10 @@ int CmdServe(const CommonOptions& options) {
     return 1;
   }
   // The "listening on" line is the readiness handshake scripts wait for.
-  std::printf("%s: %d shards x %d loops, %d workers, queue %" PRIu64
+  std::printf("%s: %d shards x %d loops, queue %" PRIu64
               ", batch %" PRIu64 ", %" PRIu64 " keys preloaded\n",
               AlgorithmName(server_options.algorithm).c_str(),
               server.num_shards(), server.num_loops(),
-              server_options.workers,
               static_cast<uint64_t>(server_options.max_inflight),
               static_cast<uint64_t>(server_options.max_batch),
               options.items);
@@ -1062,7 +1062,7 @@ void Usage() {
       "            SIGINT drains and still prints the report)\n"
       "  serve     sharded TCP service over real concurrent trees until\n"
       "            SIGINT (--protocol, --host, --port, --shards, --loops,\n"
-      "            --workers, --batch, --queue; live observability:\n"
+      "            --batch, --queue; live observability:\n"
       "            --stats_interval, --stats_file, --stats_port,\n"
       "            --stats_ring, --trace_sample)\n"
       "  drive     open-loop Poisson load against a running serve\n"

@@ -54,7 +54,7 @@ def fail(message):
 def start_serve(binary, wal_dir, protocol, fsync, recovery, shards):
     proc = subprocess.Popen(
         [binary, "serve", f"--protocol={protocol}", "--port=0",
-         "--items=2000", "--workers=4", f"--shards={shards}",
+         "--items=2000", f"--shards={shards}",
          f"--wal_dir={wal_dir}", f"--fsync={fsync}",
          f"--recovery={recovery}", "--group_commit_us=100"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -135,14 +135,17 @@ def main():
     binary = sys.argv[1]
     protocol, fsync, recovery, shards = "olc", "data", "leaf", "1"
     for flag in sys.argv[2:]:
-        if flag.startswith("--protocol="):
-            protocol = flag.split("=", 1)[1]
-        if flag.startswith("--fsync="):
-            fsync = flag.split("=", 1)[1]
-        if flag.startswith("--recovery="):
-            recovery = flag.split("=", 1)[1]
-        if flag.startswith("--shards="):
-            shards = flag.split("=", 1)[1]
+        name, _, value = flag.partition("=")
+        if name == "--protocol":
+            protocol = value
+        elif name == "--fsync":
+            fsync = value
+        elif name == "--recovery":
+            recovery = value
+        elif name == "--shards":
+            shards = value
+        else:
+            fail(f"unknown flag {flag}")
 
     with tempfile.TemporaryDirectory(prefix="cbtree_crash_") as wal_dir:
         serve, port, _, _ = start_serve(binary, wal_dir, protocol, fsync,

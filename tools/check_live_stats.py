@@ -55,10 +55,13 @@ def main():
     protocol = "link"
     lam = "1200"
     for flag in sys.argv[2:]:
-        if flag.startswith("--protocol="):
-            protocol = flag.split("=", 1)[1]
-        if flag.startswith("--lambda="):
-            lam = flag.split("=", 1)[1]
+        name, _, value = flag.partition("=")
+        if name == "--protocol":
+            protocol = value
+        elif name == "--lambda":
+            lam = value
+        else:
+            fail(f"unknown flag {flag}")
 
     fd, stats_path = tempfile.mkstemp(prefix="cbtree_stats_", suffix=".jsonl")
     os.close(fd)
@@ -66,7 +69,7 @@ def main():
 
     serve = subprocess.Popen(
         [binary, "serve", f"--protocol={protocol}", "--port=0",
-         "--items=5000", "--workers=4", "--shards=2", "--loops=2",
+         "--items=5000", "--shards=2", "--loops=2",
          "--stats_interval=0.1", f"--stats_file={stats_path}"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:

@@ -103,7 +103,7 @@ def main():
 
     wal_dir = None
     serve_args = [binary, "serve", f"--protocol={protocol}", "--port=0",
-                  "--items=5000", "--workers=4", f"--shards={shards}",
+                  "--items=5000", f"--shards={shards}",
                   f"--loops={loops}"]
     if wal:
         wal_dir = tempfile.TemporaryDirectory(prefix="cbtree_serve_drive_wal_")

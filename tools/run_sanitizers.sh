@@ -25,8 +25,9 @@ sanitizers=("${@:-thread}")
 # Tests that exercise threads / the runner; everything else is covered by
 # the regular tier-1 run. obs_test stresses the sharded metrics registry
 # from many threads; net_server_test and net_shard_test cross the
-# event-loop / shard-worker / client thread boundaries of the TCP service —
-# exactly what TSAN should vet. net_proto_fuzz_test decodes mutated frames
+# event-loop / WAL-writer / client thread boundaries of the TCP service (a
+# writer posts durable acks to a loop's inbox; only the loop touches the
+# connection) — exactly what TSAN should vet. net_proto_fuzz_test decodes mutated frames
 # from exactly-sized heap buffers, which is what ASan red-zones exist for.
 # net_stats_test races the stats ticker, the admin plane, and the Prometheus
 # listener against concurrent client load. epoch_test and olc_tree_test are
